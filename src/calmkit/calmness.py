@@ -24,7 +24,6 @@ from .core import ProblemSpec
 from .graphs_cones import (Atom, directional_limiting_normal_atoms,
                            limiting_normal_atoms, tangent_atoms)
 from .oracle import brute_force_set_valued_solve, brute_force_stationary_set
-from .penalties import GroupLasso
 
 MAX_CERT_DIM = 8
 FEAS_TOL = 1e-9
@@ -73,12 +72,7 @@ def is_proximal_stationary(prob: ProblemSpec, x, tol: float) -> bool:
     """0 in grad f(x) + prox-subdiff g(x), coordinate/block-wise within tol."""
     x = np.asarray(x, dtype=float)
     gr = prob.loss.gradient(x)
-    if isinstance(prob.penalty, GroupLasso):
-        return prob.penalty.subdiff_block_distance(x, -gr) <= tol
-    if not prob.penalty.separable:
-        raise CertificateError("stationarity test needs a separable or group penalty")
-    return all(prob.penalty.prox_subdiff(float(x[i])).distance(float(-gr[i])) <= tol
-               for i in range(prob.n))
+    return bool(np.max(prob.penalty.subdiff_distances(x, -gr)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +247,7 @@ def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     """
     x_bar, G, H, points = _certificate_setup(prob, x_bar, tol)
     n = prob.n
-    atoms = [limiting_normal_atoms(G, p) for p in points]
+    atoms = [limiting_normal_atoms(G, p, tol) for p in points]
     emb = [(H[i], np.eye(n)[i]) for i in range(n)]
     examined = 0
     suspect = 0
@@ -291,7 +285,7 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     """
     x_bar, G, H, points = _certificate_setup(prob, x_bar, tol)
     n = prob.n
-    t_atoms = [tangent_atoms(G, p) for p in points]
+    t_atoms = [tangent_atoms(G, p, tol) for p in points]
     emb_w = [(np.eye(n)[i], -H[i]) for i in range(n)]
     examined = 0
     directions = []
@@ -313,7 +307,7 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     emb_eta = [(H[i], np.eye(n)[i]) for i in range(n)]
     for w in directions:
         Hw = H @ w
-        d_atoms = [directional_limiting_normal_atoms(G, points[i], (w[i], -Hw[i]))
+        d_atoms = [directional_limiting_normal_atoms(G, points[i], (w[i], -Hw[i]), tol)
                    for i in range(n)]
         for combo in itertools.product(*d_atoms):
             examined += 1
@@ -333,14 +327,17 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
                              notes="critical directions examined: %d" % len(directions))
 
 
-POLYLINE_FAMILIES = ("l1", "scad", "mcp", "negabs", "box-indicator", "zero")
 AFFINE_GRADIENT_FAMILIES = ("quadratic", "structured-composite")
 
 
 def check_polyhedral(prob: ProblemSpec) -> CertificateReport:
-    """Robinson polyhedral-multifunction test: affine gradient + polyline graph."""
+    """Robinson polyhedral-multifunction test: affine gradient + polyline graph.
+
+    Every separable family is a table of quadratic pieces, so its
+    subdifferential graph is a polyline.
+    """
     affine = prob.loss.family in AFFINE_GRADIENT_FAMILIES
-    polyline = prob.penalty.family in POLYLINE_FAMILIES
+    polyline = prob.penalty.separable
     if affine and polyline:
         return CertificateReport(condition="polyhedral", verdict="holds",
                                  notes="gradient affine, subdifferential graph polyhedral")

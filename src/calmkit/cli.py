@@ -1,12 +1,13 @@
 """Command-line surface: solve, diagnose, certify, reproduce, oracle.
 
-Exit codes: 0 ok, 2 configuration error, 3 numeric abort, 4 infeasible
-certificate input.
+Exit codes: 0 ok, 1 internal error (with a traceback), 2 configuration
+error, 3 numeric abort, 4 infeasible certificate input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,18 +19,30 @@ from .constrained_solvers import (LinearlyConstrainedProblem, SaddleProblem,
                                   gpadmm_solve, pdhg_solve, term_from_json)
 from .core import (ConfigError, IterateTrace, NumericAbort, SolverConfig,
                    load_problem)
-from .graphs_cones import (directional_limiting_normal_cone, limiting_normal_cone,
-                           tangent_cone)
+from .graphs_cones import (GraphPointError, directional_limiting_normal_cone,
+                           limiting_normal_cone, tangent_cone)
 from .losses import Box, LossError
 from .oracle import OracleError, brute_force_prox, brute_force_stationary_set
 from .penalties import PenaltyError, penalty_from_json
 from .solvers import pg_solve, ppa_solve
 
-CONFIG_ERRORS = (ConfigError, PenaltyError, LossError, KeyError, ValueError)
+CONFIG_ERRORS = (ConfigError, PenaltyError, LossError, GraphPointError)
+
+
+@contextlib.contextmanager
+def _user_input(what):
+    """Report malformed user input read inside the block as a ConfigError."""
+    try:
+        yield
+    except CONFIG_ERRORS:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError("malformed %s: %s" % (what, exc)) from exc
 
 
 def _parse_vector(text, n=None):
-    v = np.array([float(t) for t in text.split(",")])
+    with _user_input("vector %r" % text):
+        v = np.array([float(t) for t in text.split(",")])
     if n is not None and v.size != n:
         raise ConfigError("expected %d components, got %d" % (n, v.size))
     return v
@@ -47,14 +60,14 @@ def _emit(obj, path=None):
 def _solver_config(args, prob=None, L=None, box=None):
     return SolverConfig(gamma=args.gamma, max_iter=args.max_iter,
                         stop_tol=args.stop_tol, lipschitz_L=L or 0.0,
-                        seed=args.seed, theory_mode=not args.permissive,
+                        theory_mode=not args.permissive,
                         lipschitz_box=box)
 
 
 def _lipschitz(prob, args):
     box = None
     if args.box:
-        lo, hi = (float(t) for t in args.box.split(","))
+        lo, hi = _parse_vector(args.box, 2)
         box = Box.cube(prob.n, lo, hi)
     if args.lipschitz is not None:
         return args.lipschitz, box
@@ -63,7 +76,7 @@ def _lipschitz(prob, args):
 
 
 def cmd_solve(args) -> int:
-    with open(args.problem) as fh:
+    with open(args.problem) as fh, _user_input("problem file %s" % args.problem):
         raw = json.load(fh)
     if args.solver in ("pg", "ppa"):
         prob = load_problem(args.problem)
@@ -77,14 +90,15 @@ def cmd_solve(args) -> int:
                    "final_F": tr.objectives[-1], "final_residual": tr.residuals[-1],
                    "final_pnorm": float(tr.pnorms()[-1]), "L": L}
     elif args.solver == "admm":
-        n1 = len(raw["A"][0])
-        n2 = len(raw["B"][0])
-        lcp = LinearlyConstrainedProblem(
-            term_from_json(raw["theta1"], n1), term_from_json(raw["theta2"], n2),
-            raw["A"], raw["B"], raw["b"])
-        beta = float(raw["beta"])
-        D1 = raw.get("D1")
-        D2 = raw.get("D2")
+        with _user_input("problem file %s" % args.problem):
+            n1 = len(raw["A"][0])
+            n2 = len(raw["B"][0])
+            lcp = LinearlyConstrainedProblem(
+                term_from_json(raw["theta1"], n1), term_from_json(raw["theta2"], n2),
+                raw["A"], raw["B"], raw["b"])
+            beta = float(raw["beta"])
+            D1, D2 = (None if raw.get(k) is None else np.asarray(raw[k], dtype=float)
+                      for k in ("D1", "D2"))
         cfg = SolverConfig(gamma=1.0, max_iter=args.max_iter, stop_tol=args.stop_tol,
                            lipschitz_L=1.0, theory_mode=False)
         m = len(raw["b"])
@@ -98,18 +112,19 @@ def cmd_solve(args) -> int:
                    "final_pnorm": float(tr.pnorms()[-1]),
                    "max_inclusion_residual": max(tr.inclusion_residuals[1:], default=0.0)}
     elif args.solver == "pdhg":
-        n = len(raw["K"][0])
-        m = len(raw["K"])
-        sp = SaddleProblem(term_from_json(raw["phi1"], n),
-                           term_from_json(raw["phi2"], m), raw["K"])
+        with _user_input("problem file %s" % args.problem):
+            n = len(raw["K"][0])
+            m = len(raw["K"])
+            sp = SaddleProblem(term_from_json(raw["phi1"], n),
+                               term_from_json(raw["phi2"], m), raw["K"])
+            tau, sigma = float(raw["tau"]), float(raw["sigma"])
         cfg = SolverConfig(gamma=1.0, max_iter=args.max_iter, stop_tol=args.stop_tol,
                            lipschitz_L=1.0, theory_mode=False)
         start = (np.zeros(n), np.zeros(m))
         if args.x0:
             v = _parse_vector(args.x0, n + m)
             start = (v[:n], v[n:])
-        tr = pdhg_solve(sp, float(raw["tau"]), float(raw["sigma"]), cfg, start,
-                        theory_mode=not args.permissive)
+        tr = pdhg_solve(sp, tau, sigma, cfg, start, theory_mode=not args.permissive)
         tr.write_csv(args.out)
         summary = {"solver": "pdhg", "iterations": len(tr) - 1,
                    "final_pnorm": float(tr.pnorms()[-1]),
@@ -122,7 +137,8 @@ def cmd_solve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     prob = load_problem(args.problem)
-    trace = IterateTrace.read_csv(args.trace)
+    with _user_input("trace file %s" % args.trace):
+        trace = IterateTrace.read_csv(args.trace)
     L, _ = _lipschitz(prob, args)
     gamma = args.gamma
     rng = np.random.default_rng(args.seed)
@@ -138,20 +154,21 @@ def cmd_diagnose(args) -> int:
     report["classification"] = diagnostics.classify_stationarity(
         prob, trace.final, 1e-6)
     if args.oracle_box and prob.n <= 2 and prob.penalty.separable:
-        lo, hi = (float(t) for t in args.oracle_box.split(","))
+        lo, hi = _parse_vector(args.oracle_box, 2)
         S = brute_force_stationary_set(prob, (np.full(prob.n, lo), np.full(prob.n, hi)))
+        if S.is_empty:
+            raise ConfigError("no stationary point in --oracle-box %s" % args.oracle_box)
         est = diagnostics.estimate_error_bound_constant(trace, S, window=np.inf)
         report["kappa_hat"] = est.to_json()
-        if not S.is_empty:
-            j = int(np.argmin(np.linalg.norm(S.points - trace.final[None, :], axis=1)))
-            x_bar = S.points[j]
-            try:
-                fit = diagnostics.fit_linear_rate(
-                    trace, prob.objective(x_bar), x_bar, gamma=gamma, L=L,
-                    kappa_hat=est.kappa_hat)
-                report["rate_fit"] = fit.to_json()
-            except ValueError as exc:
-                report["rate_fit"] = {"skipped": str(exc)}
+        j = int(np.argmin(np.linalg.norm(S.points - trace.final[None, :], axis=1)))
+        x_bar = S.points[j]
+        try:
+            fit = diagnostics.fit_linear_rate(
+                trace, prob.objective(x_bar), x_bar, gamma=gamma, L=L,
+                kappa_hat=est.kappa_hat)
+            report["rate_fit"] = fit.to_json()
+        except ValueError as exc:
+            report["rate_fit"] = {"skipped": str(exc)}
     else:
         report["kappa_hat"] = {"skipped": "needs --oracle-box, n <= 2 and a separable penalty"}
         try:
@@ -165,9 +182,9 @@ def cmd_diagnose(args) -> int:
 
 def cmd_certify(args) -> int:
     prob = load_problem(args.problem)
-    with open(args.point) as fh:
+    with open(args.point) as fh, _user_input("point file %s" % args.point):
         data = json.load(fh)
-    x = np.array(data["x"] if isinstance(data, dict) else data, dtype=float)
+        x = np.array(data["x"] if isinstance(data, dict) else data, dtype=float)
     reports = []
     for cond in args.conditions.split(","):
         cond = cond.strip().lower()
@@ -231,7 +248,7 @@ def cmd_reproduce(args) -> int:
         _emit(out, args.out)
         return 0
     if args.what == "table-1":
-        if args.case is None:
+        if args.case not in instances.SCENARIOS:
             raise ConfigError("table-1 needs --case {5,6,7,8}")
         prob, box, x0 = instances.scenario_instance(args.case, seed=args.seed)
         L = prob.loss.lipschitz_bound(box).value
@@ -258,7 +275,8 @@ def cmd_reproduce(args) -> int:
 
 def cmd_explain(args) -> int:
     """Dump the cone calculus at one point of a penalty's subdifferential graph."""
-    g = penalty_from_json(json.loads(args.penalty))
+    with _user_input("--penalty"):
+        g = penalty_from_json(json.loads(args.penalty))
     G = g.graph()
     p = tuple(_parse_vector(args.point, 2))
     from .graphs_cones import classify_point, regular_normal_cone
@@ -284,14 +302,15 @@ def cmd_oracle(args) -> int:
             spec["a"] = args.a
         if args.family == "box-indicator":
             spec["lower"], spec["upper"] = args.lower, args.upper
-        g = penalty_from_json(spec)
+        with _user_input("penalty options"):
+            g = penalty_from_json(spec)
         pts = brute_force_prox(g, args.u, args.gamma, window=args.window,
                                grid=args.grid)
         _emit({"minimizers": pts}, args.out)
         return 0
     if args.oracle_cmd == "stationary-set":
         prob = load_problem(args.problem)
-        lo, hi = (float(t) for t in args.box.split(","))
+        lo, hi = _parse_vector(args.box, 2)
         S = brute_force_stationary_set(
             prob, (np.full(prob.n, lo), np.full(prob.n, hi)),
             cells=args.cells, limiting=args.limiting)
@@ -318,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", default=None, help="lo,hi cube for box-scoped L")
     sp.add_argument("--permissive", action="store_true",
                     help="disable the gamma < 1/L theory check")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--summary", default=None)
     sp.set_defaults(fn=cmd_solve)

@@ -14,8 +14,9 @@ import numpy as np
 
 from .core import ConfigError, NumericAbort, SolverConfig
 from .losses import Box, operator_norm
-from .penalties import (BoxIndicator, GroupLasso, L1Penalty, Penalty,
-                        ZeroPenalty, penalty_from_json)
+from .penalties import Penalty, penalty_from_json
+
+CONVEX_FAMILIES = ("l1", "group-lasso", "box-indicator", "zero")
 
 
 class ConvexTerm:
@@ -36,7 +37,7 @@ class ConvexTerm:
             self.kind = "quadratic"
             self.penalty = None
         else:
-            if not isinstance(penalty, (L1Penalty, GroupLasso, BoxIndicator, ZeroPenalty)):
+            if penalty.family not in CONVEX_FAMILIES:
                 raise ConfigError("penalty term must be convex (l1, group-lasso, "
                                   "box-indicator or zero)")
             self.penalty = penalty
@@ -56,40 +57,22 @@ class ConvexTerm:
         res = self.penalty.prox(u, gamma)
         return np.asarray(res.minimizers[0], dtype=float)
 
-    def _coordinate_intervals(self, x):
-        """Per-coordinate subdifferential intervals (separable kinds only)."""
-        out = []
-        for xi in x:
-            iv = self.penalty.prox_subdiff(float(xi))
-            h = iv.hull()
-            out.append((math.inf, -math.inf) if h is None else h)
-        return out
-
     def subdiff_distance(self, x, v, box: Box | None = None) -> float:
         """dist(v, d theta(x) + N_box(x)); box=None means the full space."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        ncone = None
-        if box is not None:
-            ncone = [(-math.inf if x[i] <= box.lo[i] + 1e-12 else 0.0,
-                      math.inf if x[i] >= box.hi[i] - 1e-12 else 0.0)
-                     for i in range(self.n)]
         if self.kind == "quadratic":
-            r = v - (self.Q @ x + self.q)
-            if ncone is None:
-                return float(np.linalg.norm(r))
-            return math.sqrt(sum(max(lo - ri, ri - hi, 0.0) ** 2
-                                 for ri, (lo, hi) in zip(r, ncone)))
-        if isinstance(self.penalty, GroupLasso):
-            if ncone is not None:
-                raise ConfigError("group-lasso term with a box set is unsupported")
-            return self.penalty.subdiff_block_distance(x, v)
-        ivs = self._coordinate_intervals(x)
-        if ncone is not None:
-            ivs = [(lo1 + lo2, hi1 + hi2)
-                   for (lo1, hi1), (lo2, hi2) in zip(ivs, ncone)]
-        return math.sqrt(sum(max(lo - vi, vi - hi, 0.0) ** 2
-                             for vi, (lo, hi) in zip(v, ivs)))
+            lo = hi = self.Q @ x + self.q
+        elif self.penalty.separable:
+            lo, hi = self.penalty.subdiff_bounds_array(x)
+        elif box is None:
+            return float(np.linalg.norm(self.penalty.subdiff_distances(x, v)))
+        else:
+            raise ConfigError("group-lasso term with a box set is unsupported")
+        if box is not None:
+            lo = lo + np.where(x <= box.lo + 1e-12, -math.inf, 0.0)
+            hi = hi + np.where(x >= box.hi - 1e-12, math.inf, 0.0)
+        return float(np.linalg.norm(np.maximum(np.maximum(lo - v, v - hi), 0.0)))
 
 
 def term_from_json(d: dict, n: int) -> ConvexTerm:

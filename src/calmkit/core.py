@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,9 +40,6 @@ class ProblemSpec:
     def objective(self, x) -> float:
         return self.loss.value(x) + self.penalty.value(x)
 
-    def gradient(self, x):
-        return self.loss.gradient(x)
-
     def to_json(self) -> dict:
         return {"n": self.n, "loss": self.loss.to_json(),
                 "penalty": self.penalty.to_json()}
@@ -54,7 +51,6 @@ class SolverConfig:
     max_iter: int
     stop_tol: float = 1e-10
     lipschitz_L: float = 0.0
-    seed: int = 0
     theory_mode: bool = True
     lipschitz_box: losses_mod.Box | None = None
 
@@ -155,6 +151,7 @@ class StationarySetApprox:
     points: np.ndarray          # (k, n)
     radius: float               # localization radius per point
     method: str                 # 'oracle-grid' | 'analytic'
+    warnings: list = field(default_factory=list)   # oracle scan notes
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -187,7 +184,11 @@ def problem_from_json(d: dict) -> ProblemSpec:
 
 def load_problem(path) -> ProblemSpec:
     with open(path) as fh:
-        return problem_from_json(json.load(fh))
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("problem file %s is not JSON: %s" % (path, exc)) from exc
+    return problem_from_json(raw)
 
 
 def save_problem(prob: ProblemSpec, path):

@@ -173,8 +173,7 @@ def fit_linear_rate(trace: IterateTrace, F_star: float, x_bar, burn_in=None,
     fit = RateFit(sigma_hat=sigma_hat, rho_hat=rho_hat, burn_in=burn_in,
                   r_squared=r2, n_points=len(usable))
     if gamma is not None and L is not None and kappa_hat is not None:
-        k1, k2 = kappa1(gamma, L), kappa2(gamma, L)
-        fit.predicted_sigma = 1.0 / (1.0 + k1 / (k2 * (kappa_hat ** 2 + 1.0)))
+        fit.predicted_sigma = predicted_sigma(gamma, L, kappa_hat)
         fit.within_prediction = bool(sigma_hat <= fit.predicted_sigma + 0.05)
     return fit
 
@@ -202,16 +201,9 @@ class KLReport:
 
 def subdiff_distance(prob: ProblemSpec, x) -> float:
     """dist(0, grad f(x) + limiting-subdiff g(x)) via the separable sum rule."""
-    from .penalties import GroupLasso
     x = np.asarray(x, dtype=float)
     gr = prob.loss.gradient(x)
-    if isinstance(prob.penalty, GroupLasso):
-        return prob.penalty.subdiff_block_distance(x, -gr)
-    total = 0.0
-    for i in range(prob.n):
-        d = prob.penalty.limiting_subdiff(float(x[i])).distance(float(-gr[i]))
-        total += d * d
-    return math.sqrt(total)
+    return float(np.linalg.norm(prob.penalty.subdiff_distances(x, -gr, limiting=True)))
 
 
 def check_kl_half(value_fn, subdist_fn, x_bar, epsilon: float, samples: int,
@@ -275,17 +267,14 @@ def check_proper_separation(S: StationarySetApprox, prob: ProblemSpec, x_bar,
 
 
 def classify_stationarity(prob: ProblemSpec, x, tol: float) -> str:
-    """'proximal', 'limiting-only', or 'none' for the point x."""
-    from .penalties import GroupLasso
+    """'proximal', 'limiting-only', or 'none' for the point x.
+
+    Each coordinate (each group, for the group lasso) must be within tol.
+    """
     x = np.asarray(x, dtype=float)
     gr = prob.loss.gradient(x)
-    if isinstance(prob.penalty, GroupLasso):
-        d = prob.penalty.subdiff_block_distance(x, -gr)
-        return "proximal" if d <= tol else "none"
-    prox_ok = all(prob.penalty.prox_subdiff(float(x[i])).distance(float(-gr[i])) <= tol
-                  for i in range(prob.n))
-    if prox_ok:
+    if np.max(prob.penalty.subdiff_distances(x, -gr)) <= tol:
         return "proximal"
-    lim_ok = all(prob.penalty.limiting_subdiff(float(x[i])).distance(float(-gr[i])) <= tol
-                 for i in range(prob.n))
-    return "limiting-only" if lim_ok else "none"
+    if np.max(prob.penalty.subdiff_distances(x, -gr, limiting=True)) <= tol:
+        return "limiting-only"
+    return "none"

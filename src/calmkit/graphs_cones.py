@@ -40,10 +40,6 @@ def _from_angle(a: float):
     return (math.cos(a), math.sin(a))
 
 
-def _cross(u, v) -> float:
-    return u[0] * v[1] - u[1] * v[0]
-
-
 # ---------------------------------------------------------------------------
 # graph pieces
 
@@ -84,10 +80,6 @@ class Piece:
 def segment(p0, p1) -> Piece:
     d = (p1[0] - p0[0], p1[1] - p0[1])
     return Piece(anchor=tuple(p0), direction=d, t0=0.0, t1=1.0)
-
-
-def ray_piece(p0, direction) -> Piece:
-    return Piece(anchor=tuple(p0), direction=tuple(direction), t0=0.0, t1=math.inf)
 
 
 @dataclass(frozen=True)

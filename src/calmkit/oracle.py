@@ -333,10 +333,8 @@ def brute_force_stationary_set(prob, box, cells=400, limiting=False,
     lip = _lipschitz_for_scan(prob, box_lo, box_hi)
     pts, warnings = _membership_scan(prob, target, box_lo, box_hi, cells,
                                      limiting, lip, dedup_radius=dedup_radius)
-    S = StationarySetApprox(points=np.array(pts).reshape(-1, prob.n),
-                            radius=1e-6, method="oracle-grid")
-    S.warnings = warnings
-    return S
+    return StationarySetApprox(points=np.array(pts).reshape(-1, prob.n),
+                               radius=1e-6, method="oracle-grid", warnings=warnings)
 
 
 def brute_force_set_valued_solve(prob, map_kind, p, box, gamma=None, cells=400,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .graphs_cones import Piece, PolylineGraph, segment
 
 TIE_REL_TOL = 1e-12  # relative tolerance for declaring multiple global prox minimizers
+KINK_REL_TOL = 1e-12  # one-sided slopes this close meet smoothly (no kink)
 
 
 class PenaltyError(ValueError):
@@ -62,9 +64,6 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def contains(self, v: float, tol: float = 0.0) -> bool:
-        return any(lo - tol <= v <= hi + tol for lo, hi in self.intervals)
-
     def distance(self, v: float) -> float:
         if not self.intervals:
             return math.inf
@@ -86,6 +85,9 @@ class IntervalSet:
                 elif abs(x - y) > tol:
                     return False
         return True
+
+
+_EMPTY = IntervalSet.empty()
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,14 @@ class Penalty:
     def prox_coordinate_sets(self, u, gamma):
         raise NotImplementedError
 
+    def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
+        """Exact distances from v to the (limiting) subdifferential at x.
+
+        One entry per coordinate for separable families, one per group for
+        the group lasso; stationarity gates take their maximum.
+        """
+        raise NotImplementedError
+
     def prox(self, u, gamma) -> ProxResult:
         if gamma <= 0:
             raise PenaltyError("gamma must be positive")
@@ -167,13 +177,8 @@ class Penalty:
 
     def prox_distance(self, x, u, gamma) -> float:
         """dist(x, Prox(u)) using the exact per-coordinate argmin sets."""
-        x = np.asarray(x, dtype=float)
         sets = self.prox_coordinate_sets(np.asarray(u, dtype=float), gamma)
-        return math.sqrt(sum(min((xi - c) ** 2 for c in s)
-                             for xi, s in zip(x, sets)))
-
-    def value_many(self, X) -> np.ndarray:
-        return np.array([self.value(x) for x in np.atleast_2d(X)])
+        return coordinate_sets_distance(np.asarray(x, dtype=float), sets)
 
     def graph(self) -> PolylineGraph:
         raise PenaltyError("family %r has no one-dimensional graph" % self.family)
@@ -182,25 +187,66 @@ class Penalty:
         raise NotImplementedError
 
 
+def coordinate_sets_distance(x, sets) -> float:
+    """Euclidean distance from x to the product of finite coordinate sets."""
+    return math.sqrt(sum(min((xi - c) ** 2 for c in s)
+                         for xi, s in zip(x, sets)))
+
+
+def _slope(piece, t):
+    """phi'(t) on one quadratic piece (lo, hi, a2, a1, a0)."""
+    return 2.0 * piece[2] * t + piece[3]
+
+
 class SeparablePenalty(Penalty):
-    """g(x) = sum_i phi(x_i) for one scalar piece phi."""
+    """g(x) = sum_i phi(x_i) for one scalar piece phi.
+
+    A family is its scalar_pieces() table.  The constructor compiles the
+    table once: value, prox, both subdifferentials, their bounds and the
+    subdifferential graph all follow from it.
+    """
 
     separable = True
 
+    def __init__(self):
+        self.pieces = pieces = tuple(self.scalar_pieces())
+        self._lo, self._hi = pieces[0][0], pieces[-1][1]
+        # theta lies in region bisect_left(_cuts, theta): region j + 1 is
+        # inside piece j, regions 0 and len(pieces) + 1 outside the domain
+        self._cuts = (self._lo,) + tuple(pc[1] for pc in pieces)
+        self._slopes = (None,) + tuple((2.0 * pc[2], pc[3]) for pc in pieces) + (None,)
+        # one-sided slopes (dl, dr) at each finite piece end; the domain
+        # ends border no piece on their outer side
+        self._joins = joins = {}
+        if math.isfinite(self._lo):
+            joins[self._lo] = (-math.inf, _slope(pieces[0], self._lo))
+        for left, right in zip(pieces, pieces[1:]):
+            b = left[1]
+            dl, dr = _slope(left, b), _slope(right, b)
+            if abs(dl - dr) <= KINK_REL_TOL * (1.0 + abs(dl) + abs(dr)):
+                # smooth join, up to rounding: take the side of constant
+                # slope, whose derivative a1 carries no rounding at all
+                dl = dr = dl if left[2] == 0.0 else dr
+            joins[b] = (dl, dr)
+        if math.isfinite(self._hi):
+            joins[self._hi] = (_slope(pieces[-1], self._hi), math.inf)
+        # [dl, dr] at a convex kink or smooth join; at a concave kink no
+        # proximal subgradient, and the two slopes as limiting ones
+        self._prox_at_knot = {b: IntervalSet(((dl, dr),)) if dl <= dr else _EMPTY
+                              for b, (dl, dr) in joins.items()}
+        self._limiting_at_knot = {
+            b: IntervalSet(((dl, dr),)) if dl <= dr else IntervalSet.of((dr, dr), (dl, dl))
+            for b, (dl, dr) in joins.items()}
+
     def scalar_pieces(self):
-        """Quadratic pieces (lo, hi, a2, a1, a0) of phi covering its domain."""
+        """Quadratic pieces (lo, hi, a2, a1, a0) of phi, left to right, covering its domain."""
         raise NotImplementedError
 
     def breakpoints(self):
-        bps = set()
-        for lo, hi, *_ in self.scalar_pieces():
-            for t in (lo, hi):
-                if math.isfinite(t):
-                    bps.add(t)
-        return sorted(bps)
+        return sorted(self._joins)
 
     def scalar_value(self, theta: float) -> float:
-        for lo, hi, a2, a1, a0 in self.scalar_pieces():
+        for lo, hi, a2, a1, a0 in self.pieces:
             if lo <= theta <= hi:
                 return a2 * theta * theta + a1 * theta + a0
         return math.inf
@@ -208,7 +254,7 @@ class SeparablePenalty(Penalty):
     def scalar_value_array(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         out = np.full(theta.shape, math.inf)
-        for lo, hi, a2, a1, a0 in self.scalar_pieces():
+        for lo, hi, a2, a1, a0 in self.pieces:
             m = (theta >= lo) & (theta <= hi)
             out[m] = a2 * theta[m] ** 2 + a1 * theta[m] + a0
         return out
@@ -220,61 +266,82 @@ class SeparablePenalty(Penalty):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.sum(self.scalar_value_array(X), axis=1)
 
-    def subdiff_bounds_array(self, theta, limiting=False):
-        """Per-point hull [lo, hi] of the subdifferential; empty as (+inf, -inf).
-
-        The hull coincides with the subdifferential for interval-valued
-        families; the two-point limiting subdifferential of the downward
-        kink is over-approximated by its hull (exact scalar routines are
-        used wherever exact distances matter).
-        """
-        theta = np.asarray(theta, dtype=float)
-        lo = np.empty(theta.shape)
-        hi = np.empty(theta.shape)
-        flat_t = theta.reshape(-1)
-        flat_lo = lo.reshape(-1)
-        flat_hi = hi.reshape(-1)
-        sd = self.limiting_subdiff if limiting else self.prox_subdiff
-        for i, t in enumerate(flat_t):
-            h = sd(float(t)).hull()
-            if h is None:
-                flat_lo[i], flat_hi[i] = math.inf, -math.inf
-            else:
-                flat_lo[i], flat_hi[i] = h
-        return lo, hi
-
     def prox_scalar(self, u: float, gamma: float):
-        return _scalar_prox_candidates(self.scalar_pieces(), float(u), gamma)[0]
+        return _scalar_prox_candidates(self.pieces, float(u), gamma)[0]
 
     def prox_coordinate_sets(self, u, gamma):
         return [self.prox_scalar(float(ui), gamma) for ui in np.atleast_1d(u)]
 
+    def _subdiff(self, theta, at_knot):
+        s = at_knot.get(theta)
+        if s is None:
+            c = self._slopes[bisect_left(self._cuts, theta)]
+            if c is None:
+                return _EMPTY
+            v = c[0] * theta + c[1]
+            s = IntervalSet(((v, v),))
+        return s
+
     def prox_subdiff(self, theta: float) -> IntervalSet:
-        raise NotImplementedError
+        """Proximal subdifferential of phi at theta: empty at a concave kink."""
+        return self._subdiff(theta, self._prox_at_knot)
 
     def limiting_subdiff(self, theta: float) -> IntervalSet:
-        # semi-convex families: limiting equals proximal (overridden where not)
-        return self.prox_subdiff(theta)
+        """Limiting subdifferential: the two one-sided slopes at a concave kink."""
+        return self._subdiff(theta, self._limiting_at_knot)
 
-    def subdiff_hull(self, t0: float, t1: float, limiting=False):
-        """Hull of the subdifferential union over [t0, t1] (cell over-approximation)."""
+    def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
         sd = self.limiting_subdiff if limiting else self.prox_subdiff
-        probes = [t0, t1, 0.5 * (t0 + t1)]
-        eps = 1e-9 * (1.0 + abs(t1 - t0))
-        for b in self.breakpoints():
-            if t0 <= b <= t1:
-                probes.extend((b, b - eps, b + eps))
-        lo, hi = math.inf, -math.inf
-        for t in probes:
-            if not (t0 - eps <= t <= t1 + eps):
-                continue
-            h = sd(t).hull()
-            if h is None:
-                continue
-            lo, hi = min(lo, h[0]), max(hi, h[1])
-        if lo > hi:
-            return None
-        return (lo, hi)
+        return np.array([sd(float(xi)).distance(float(vi))
+                         for xi, vi in zip(np.atleast_1d(x), np.atleast_1d(v))])
+
+    def subdiff_bounds_array(self, theta, limiting=False):
+        """Per-point hull [lo, hi] of the subdifferential; empty as (+inf, -inf).
+
+        The hull is the subdifferential itself except for the limiting one
+        at a concave kink, a two-point set (the exact scalar routines are
+        used wherever exact distances matter).
+        """
+        theta = np.asarray(theta, dtype=float)
+        r = np.searchsorted(self._cuts, theta)
+        coef = np.array([s or (0.0, 0.0) for s in self._slopes])[r]
+        slope = coef[..., 0] * theta + coef[..., 1]
+        inside = (r > 0) & (r <= len(self.pieces))
+        lo = np.where(inside, slope, math.inf)
+        hi = np.where(inside, slope, -math.inf)
+        for b, s in (self._limiting_at_knot if limiting else self._prox_at_knot).items():
+            at = theta == b
+            h = s.hull() or (math.inf, -math.inf)
+            lo = np.where(at, h[0], lo)
+            hi = np.where(at, h[1], hi)
+        return lo, hi
+
+    def graph(self) -> PolylineGraph:
+        """Closure of the graph of the limiting subdifferential, left to right.
+
+        Each piece becomes a segment or ray of (theta, phi'(theta)); a convex
+        kink adds the vertical segment between its one-sided slopes, and a
+        finite domain end a vertical ray.
+        """
+        joins = self._joins
+        out = []
+        if math.isfinite(self._lo):
+            out.append(Piece((self._lo, joins[self._lo][1]), (0.0, -1.0), 0.0, math.inf))
+        for j, (lo, hi, a2, a1, _a0) in enumerate(self.pieces):
+            if j > 0 and joins[lo][0] < joins[lo][1]:
+                out.append(segment((lo, joins[lo][0]), (lo, joins[lo][1])))
+            if math.isfinite(lo) and math.isfinite(hi):
+                out.append(segment((lo, joins[lo][1]), (hi, joins[hi][0])))
+            elif math.isfinite(hi):
+                # 0.0 - 2 a2 keeps the flat ray's direction at +0.0
+                out.append(Piece((hi, joins[hi][0]), (-1.0, 0.0 - 2.0 * a2), 0.0, math.inf))
+            elif math.isfinite(lo):
+                out.append(Piece((lo, joins[lo][1]), (1.0, 2.0 * a2), 0.0, math.inf))
+            else:
+                out.append(Piece((0.0, a1), (1.0, 2.0 * a2), -math.inf, math.inf))
+        if math.isfinite(self._hi):
+            out.append(Piece((self._hi, joins[self._hi][0]), (0.0, 1.0), 0.0, math.inf))
+        return PolylineGraph(tuple(out))
 
 
 class ZeroPenalty(SeparablePenalty):
@@ -285,16 +352,6 @@ class ZeroPenalty(SeparablePenalty):
 
     def prox_scalar(self, u, gamma):
         return (float(u),)   # identity, bit-exact (PG must reduce to plain GD)
-
-    def prox_subdiff(self, theta):
-        return IntervalSet.point(0.0)
-
-    def subdiff_bounds_array(self, theta, limiting=False):
-        z = np.zeros(np.asarray(theta, dtype=float).shape)
-        return z, z.copy()
-
-    def graph(self):
-        return PolylineGraph((Piece((0.0, 0.0), (1.0, 0.0), -math.inf, math.inf),))
 
     def to_json(self):
         return {"family": "zero"}
@@ -307,32 +364,11 @@ class L1Penalty(SeparablePenalty):
         if lam <= 0:
             raise PenaltyError("lambda must be positive")
         self.lam = float(lam)
+        super().__init__()
 
     def scalar_pieces(self):
         lam = self.lam
         return [(-math.inf, 0.0, 0.0, -lam, 0.0), (0.0, math.inf, 0.0, lam, 0.0)]
-
-    def prox_subdiff(self, theta):
-        if theta > 0:
-            return IntervalSet.point(self.lam)
-        if theta < 0:
-            return IntervalSet.point(-self.lam)
-        return IntervalSet.closed(-self.lam, self.lam)
-
-    def subdiff_bounds_array(self, theta, limiting=False):
-        theta = np.asarray(theta, dtype=float)
-        s = np.sign(theta)
-        lo = np.where(s == 0, -self.lam, s * self.lam)
-        hi = np.where(s == 0, self.lam, s * self.lam)
-        return lo, hi
-
-    def graph(self):
-        lam = self.lam
-        return PolylineGraph((
-            Piece((0.0, -lam), (-1.0, 0.0), 0.0, math.inf),
-            segment((0.0, -lam), (0.0, lam)),
-            Piece((0.0, lam), (1.0, 0.0), 0.0, math.inf),
-        ))
 
     def to_json(self):
         return {"family": "l1", "lambda": self.lam}
@@ -346,6 +382,7 @@ class ScadPenalty(SeparablePenalty):
             raise PenaltyError("SCAD needs lambda > 0 and a > 2")
         self.lam = float(lam)
         self.a = float(a)
+        super().__init__()
 
     def scalar_pieces(self):
         lam, a = self.lam, self.a
@@ -362,40 +399,6 @@ class ScadPenalty(SeparablePenalty):
             (a * lam, math.inf, 0.0, 0.0, c),
         ]
 
-    def prox_subdiff(self, theta):
-        lam, a = self.lam, self.a
-        t = abs(theta)
-        if theta == 0.0:
-            return IntervalSet.closed(-lam, lam)
-        if t <= lam:
-            return IntervalSet.point(math.copysign(lam, theta))
-        if t <= a * lam:
-            return IntervalSet.point(math.copysign((a * lam - t) / (a - 1.0), theta))
-        return IntervalSet.point(0.0)
-
-    def subdiff_bounds_array(self, theta, limiting=False):
-        theta = np.asarray(theta, dtype=float)
-        lam, a = self.lam, self.a
-        t = np.abs(theta)
-        v = np.where(t <= lam, lam,
-                     np.where(t <= a * lam, (a * lam - t) / (a - 1.0), 0.0))
-        v = np.sign(theta) * v
-        lo = np.where(theta == 0.0, -lam, v)
-        hi = np.where(theta == 0.0, lam, v)
-        return lo, hi
-
-    def graph(self):
-        lam, a = self.lam, self.a
-        return PolylineGraph((
-            Piece((-a * lam, 0.0), (-1.0, 0.0), 0.0, math.inf),
-            segment((-a * lam, 0.0), (-lam, -lam)),
-            segment((-lam, -lam), (0.0, -lam)),
-            segment((0.0, -lam), (0.0, lam)),
-            segment((0.0, lam), (lam, lam)),
-            segment((lam, lam), (a * lam, 0.0)),
-            Piece((a * lam, 0.0), (1.0, 0.0), 0.0, math.inf),
-        ))
-
     def to_json(self):
         return {"family": "scad", "lambda": self.lam, "a": self.a}
 
@@ -408,6 +411,7 @@ class McpPenalty(SeparablePenalty):
             raise PenaltyError("MCP needs lambda > 0 and a > 1")
         self.lam = float(lam)
         self.a = float(a)
+        super().__init__()
 
     def scalar_pieces(self):
         lam, a = self.lam, self.a
@@ -419,35 +423,6 @@ class McpPenalty(SeparablePenalty):
             (0.0, a * lam, q2, lam, 0.0),
             (a * lam, math.inf, 0.0, 0.0, c),
         ]
-
-    def prox_subdiff(self, theta):
-        # derived by differentiating psi on (0, a*lam); oracle-checked, not cited
-        lam, a = self.lam, self.a
-        t = abs(theta)
-        if theta == 0.0:
-            return IntervalSet.closed(-lam, lam)
-        if t <= a * lam:
-            return IntervalSet.point(math.copysign(lam - t / a, theta))
-        return IntervalSet.point(0.0)
-
-    def subdiff_bounds_array(self, theta, limiting=False):
-        theta = np.asarray(theta, dtype=float)
-        lam, a = self.lam, self.a
-        t = np.abs(theta)
-        v = np.sign(theta) * np.where(t <= a * lam, lam - t / a, 0.0)
-        lo = np.where(theta == 0.0, -lam, v)
-        hi = np.where(theta == 0.0, lam, v)
-        return lo, hi
-
-    def graph(self):
-        lam, a = self.lam, self.a
-        return PolylineGraph((
-            Piece((-a * lam, 0.0), (-1.0, 0.0), 0.0, math.inf),
-            segment((-a * lam, 0.0), (0.0, -lam)),
-            segment((0.0, -lam), (0.0, lam)),
-            segment((0.0, lam), (a * lam, 0.0)),
-            Piece((a * lam, 0.0), (1.0, 0.0), 0.0, math.inf),
-        ))
 
     def to_json(self):
         return {"family": "mcp", "lambda": self.lam, "a": self.a}
@@ -463,40 +438,11 @@ class NegAbsPenalty(SeparablePenalty):
         if lam <= 0:
             raise PenaltyError("lambda must be positive")
         self.lam = float(lam)
+        super().__init__()
 
     def scalar_pieces(self):
         lam = self.lam
         return [(-math.inf, 0.0, 0.0, lam, 0.0), (0.0, math.inf, 0.0, -lam, 0.0)]
-
-    def prox_subdiff(self, theta):
-        if theta == 0.0:
-            return IntervalSet.empty()
-        return IntervalSet.point(-math.copysign(self.lam, theta))
-
-    def limiting_subdiff(self, theta):
-        if theta == 0.0:
-            return IntervalSet.of((-self.lam, -self.lam), (self.lam, self.lam))
-        return self.prox_subdiff(theta)
-
-    def subdiff_bounds_array(self, theta, limiting=False):
-        theta = np.asarray(theta, dtype=float)
-        lam = self.lam
-        v = -np.sign(theta) * lam
-        if limiting:
-            lo = np.where(theta == 0.0, -lam, v)
-            hi = np.where(theta == 0.0, lam, v)
-        else:
-            lo = np.where(theta == 0.0, math.inf, v)
-            hi = np.where(theta == 0.0, -math.inf, v)
-        return lo, hi
-
-    def graph(self):
-        # closure of gph(prox-subdifferential) = graph of the limiting one
-        lam = self.lam
-        return PolylineGraph((
-            Piece((0.0, lam), (-1.0, 0.0), 0.0, math.inf),
-            Piece((0.0, -lam), (1.0, 0.0), 0.0, math.inf),
-        ))
 
     def to_json(self):
         return {"family": "negabs", "lambda": self.lam}
@@ -512,34 +458,10 @@ class BoxIndicator(SeparablePenalty):
             raise PenaltyError("box needs lower < upper")
         self.lower = float(lower)
         self.upper = float(upper)
+        super().__init__()
 
     def scalar_pieces(self):
         return [(self.lower, self.upper, 0.0, 0.0, 0.0)]
-
-    def scalar_value(self, theta):
-        return 0.0 if self.lower <= theta <= self.upper else math.inf
-
-    def prox_subdiff(self, theta):
-        if theta < self.lower or theta > self.upper:
-            return IntervalSet.empty()
-        lo = -math.inf if theta <= self.lower else 0.0
-        hi = math.inf if theta >= self.upper else 0.0
-        return IntervalSet.closed(lo, hi)
-
-    def subdiff_bounds_array(self, theta, limiting=False):
-        theta = np.asarray(theta, dtype=float)
-        inside = (theta >= self.lower) & (theta <= self.upper)
-        lo = np.where(inside, np.where(theta <= self.lower, -math.inf, 0.0), math.inf)
-        hi = np.where(inside, np.where(theta >= self.upper, math.inf, 0.0), -math.inf)
-        return lo, hi
-
-    def graph(self):
-        lo, hi = self.lower, self.upper
-        return PolylineGraph((
-            Piece((lo, 0.0), (0.0, -1.0), 0.0, math.inf),
-            segment((lo, 0.0), (hi, 0.0)),
-            Piece((hi, 0.0), (0.0, 1.0), 0.0, math.inf),
-        ))
 
     def to_json(self):
         return {"family": "box-indicator", "lower": self.lower, "upper": self.upper}
@@ -590,21 +512,20 @@ class GroupLasso(Penalty):
         x = self.prox_vector(u, gamma)
         return [(float(v),) for v in x]
 
-    def subdiff_block_distance(self, x, v):
-        """dist(v, d(w||.||)(x)) per block, combined in the l2 norm."""
+    def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
+        """Per group, dist(v_J, d(w_J ||.||)(x_J)); convex, so limiting is proximal."""
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        total = 0.0
+        out = []
         for g, w in zip(self.groups, self.weights):
             idx = list(g)
             xg, vg = x[idx], v[idx]
             nrm = np.linalg.norm(xg)
             if nrm > 0:
-                d = np.linalg.norm(vg - w * xg / nrm)
+                out.append(np.linalg.norm(vg - w * xg / nrm))
             else:
-                d = max(np.linalg.norm(vg) - w, 0.0)
-            total += d * d
-        return math.sqrt(total)
+                out.append(max(np.linalg.norm(vg) - w, 0.0))
+        return np.array(out)
 
     def to_json(self):
         return {"family": "group-lasso",

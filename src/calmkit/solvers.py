@@ -7,8 +7,9 @@ import math
 import numpy as np
 
 from .core import ConfigError, IterateTrace, NumericAbort, ProblemSpec, SolverConfig
+from .diagnostics import residual
 from .oracle import brute_force_scalar_min
-from .penalties import _scalar_prox_candidates
+from .penalties import _scalar_prox_candidates, coordinate_sets_distance
 
 
 def _select_from_candidates(cands, ref):
@@ -21,15 +22,10 @@ def _select_from_candidates(cands, ref):
     return best[1]
 
 
-def _pg_step(prob: ProblemSpec, gamma: float, x: np.ndarray) -> np.ndarray:
+def _prox_sets(prob: ProblemSpec, gamma: float, x: np.ndarray):
+    """Per-coordinate argmin sets of Prox_g^gamma(x - gamma grad f(x))."""
     u = x - gamma * prob.loss.gradient(x)
-    sets = prob.penalty.prox_coordinate_sets(u, gamma)
-    return np.array([_select_from_candidates(s, xi) for s, xi in zip(sets, x)])
-
-
-def _residual(prob: ProblemSpec, gamma: float, x: np.ndarray) -> float:
-    u = x - gamma * prob.loss.gradient(x)
-    return prob.penalty.prox_distance(x, u, gamma)
+    return prob.penalty.prox_coordinate_sets(u, gamma)
 
 
 def _guard_finite(prob, x, F):
@@ -43,6 +39,9 @@ def pg_solve(prob: ProblemSpec, cfg: SolverConfig, x0) -> IterateTrace:
     When the prox is set-valued the minimizer closest to x^k is selected
     (ties toward the lexicographically smaller point), which keeps traces
     deterministic.  Stops when ||x^{k+1} - x^k|| <= stop_tol.
+
+    One prox evaluation per iterate serves both its residual
+    dist(x^k, Prox(u^k)) and the step that leaves it.
     """
     cfg.validate(prob)
     x = np.array(x0, dtype=float)
@@ -51,15 +50,17 @@ def pg_solve(prob: ProblemSpec, cfg: SolverConfig, x0) -> IterateTrace:
     tr = IterateTrace(prob.n)
     F = prob.objective(x)
     _guard_finite(prob, x, F)
-    tr.append(x, F, _residual(prob, cfg.gamma, x))
+    sets = _prox_sets(prob, cfg.gamma, x)
+    tr.append(x, F, coordinate_sets_distance(x, sets))
     for _ in range(cfg.max_iter):
-        x_new = _pg_step(prob, cfg.gamma, x)
+        x_new = np.array([_select_from_candidates(s, xi) for s, xi in zip(sets, x)])
         F = prob.objective(x_new)
         _guard_finite(prob, x_new, F)
         if cfg.lipschitz_box is not None and \
                 cfg.lipschitz_box.distance(x_new) > cfg.lipschitz_box.diameter():
             raise NumericAbort("iterate left the Lipschitz box by more than its diameter")
-        tr.append(x_new, F, _residual(prob, cfg.gamma, x_new))
+        sets = _prox_sets(prob, cfg.gamma, x_new)
+        tr.append(x_new, F, coordinate_sets_distance(x_new, sets))
         step = float(np.linalg.norm(x_new - x))
         x = x_new
         if step <= cfg.stop_tol:
@@ -75,9 +76,8 @@ def _f_prox_exact_separable(prob, gamma, xk):
     Q, q = prob.loss.Q, prob.loss.q
     out = np.empty(prob.n)
     for i in range(prob.n):
-        base = prob.penalty.scalar_pieces()
         pieces = [(lo, hi, a2 + 0.5 * Q[i, i], a1 + q[i], a0)
-                  for lo, hi, a2, a1, a0 in base]
+                  for lo, hi, a2, a1, a0 in prob.penalty.pieces]
         cands, _ = _scalar_prox_candidates(pieces, float(xk[i]), gamma)
         out[i] = _select_from_candidates(cands, float(xk[i]))
     return out
@@ -150,7 +150,7 @@ def ppa_solve(prob: ProblemSpec, cfg: SolverConfig, x0, oracle_window=None) -> I
     tr = IterateTrace(prob.n)
     F = prob.objective(x)
     _guard_finite(prob, x, F)
-    tr.append(x, F, _residual(prob, cfg.gamma, x))
+    tr.append(x, F, residual(prob, x, cfg.gamma))
     for _ in range(cfg.max_iter):
         if exact:
             x_new = _f_prox_exact_separable(prob, cfg.gamma, x)
@@ -159,7 +159,7 @@ def ppa_solve(prob: ProblemSpec, cfg: SolverConfig, x0, oracle_window=None) -> I
             x_new = np.asarray(_f_prox_oracle(prob, cfg.gamma, x, window), dtype=float)
         F = prob.objective(x_new)
         _guard_finite(prob, x_new, F)
-        tr.append(x_new, F, _residual(prob, cfg.gamma, x_new))
+        tr.append(x_new, F, residual(prob, x_new, cfg.gamma))
         step = float(np.linalg.norm(x_new - x))
         x = x_new
         if step <= cfg.stop_tol:

@@ -4,12 +4,13 @@ import pytest
 from calmkit.calmness import (CertificateError, check_foscms, check_nnamcq,
                               check_polyhedral, estimate_calmness_modulus,
                               is_proximal_stationary)
-from calmkit.core import ProblemSpec
+from calmkit.core import ProblemSpec, SolverConfig
 from calmkit.instances import (example_5_1_cases, scad_case_i, scad_case_ii,
                                scad_case_iii)
 from calmkit.losses import LogisticLoss, QuadraticLoss, SigmoidNNLoss
 from calmkit.penalties import (GroupLasso, L1Penalty, NegAbsPenalty,
                                ScadPenalty, ZeroPenalty)
+from calmkit.solvers import pg_solve
 
 
 def lasso2():
@@ -116,6 +117,21 @@ def test_nnamcq_implies_foscms():
 def test_certificates_reject_non_stationary_points():
     with pytest.raises(CertificateError, match="stationary"):
         check_nnamcq(lasso2(), np.array([0.0, 0.0]))
+
+
+def test_certificates_accept_pg_limit_within_their_tolerance():
+    # PG stopped at 1e-10 leaves its limit ~1e-10 off the SCAD graph; the
+    # point passes the stationarity gate at tol, so the cone atoms must be
+    # taken at tol as well instead of rejecting the point as off-graph
+    Q = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.5, 0.2, 0.1],
+                  [0.1, 0.2, 1.8, 0.3], [0.0, 0.1, 0.3, 1.2]])
+    prob = ProblemSpec(4, QuadraticLoss(Q, np.array([-3.1, 0.4, -0.9, 2.7])),
+                       ScadPenalty(0.8, 3.7))
+    L = prob.loss.lipschitz_bound().value
+    cfg = SolverConfig(gamma=0.4, max_iter=2000, stop_tol=1e-10, lipschitz_L=L)
+    x = pg_solve(prob, cfg, np.zeros(4)).final
+    assert check_nnamcq(prob, x).verdict in ("holds", "fails", "inconclusive")
+    assert check_foscms(prob, x).verdict in ("holds", "fails", "inconclusive")
 
 
 def test_certificates_reject_untwice_differentiable_loss():

@@ -165,3 +165,38 @@ def test_reproduce_table_1_case_6_box_scoped(capsys):
     assert out["L_scope"] == "box"
     assert out["sufficient_descent"]["ok"]
     assert out["classification"] == "proximal"
+
+
+def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch):
+    # a bug inside calmkit propagates (traceback, exit 1) instead of exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("calmkit.cli.pg_solve", broken)
+    prob = write(tmp_path, "p.json", LASSO)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["solve", "--problem", prob, "--solver", "pg", "--gamma", "0.5",
+              "--out", str(tmp_path / "t.csv")])
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "{bad}", "--solver", "pg", "--gamma", "0.5", "--x0", "1,x"],
+    ["solve", "--problem", "{bad}", "--solver", "pg", "--gamma", "0.5", "--box", "1"],
+    ["solve", "--problem", "{notjson}", "--solver", "pg", "--gamma", "0.5"],
+    ["solve", "--problem", "{admm}", "--solver", "admm"],
+    ["certify", "--problem", "{bad}", "--point", "{notjson}"],
+    ["explain", "--penalty", '{"family": "l1"}', "--point", "0,0"],
+    ["explain", "--penalty", '{"family": "l1", "lambda": 1.0}', "--point", "1,0"],
+    ["reproduce", "table-1", "--case", "9"],
+    ["oracle", "prox", "--family", "l1", "--u", "0.5", "--gamma", "1.0"],
+])
+def test_malformed_user_input_exits_2(tmp_path, capsys, argv):
+    files = {"{bad}": write(tmp_path, "p.json", LASSO),
+             "{admm}": write(tmp_path, "a.json", {k: v for k, v in ADMM.items()
+                                                 if k != "beta"})}
+    notjson = tmp_path / "n.json"
+    notjson.write_text("{not json")
+    files["{notjson}"] = str(notjson)
+    argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err

@@ -66,7 +66,7 @@ def test_trace_reconstruction_is_exact():
 
 def test_traces_are_deterministic():
     prob = lasso_problem()
-    cfg = SolverConfig(gamma=0.37, max_iter=40, stop_tol=0.0, lipschitz_L=1.0, seed=3)
+    cfg = SolverConfig(gamma=0.37, max_iter=40, stop_tol=0.0, lipschitz_L=1.0)
     t1 = pg_solve(prob, cfg, np.zeros(2))
     t2 = pg_solve(prob, cfg, np.zeros(2))
     assert all(np.array_equal(a, b) for a, b in zip(t1.points, t2.points))
@@ -101,3 +101,7 @@ def test_problem_json_round_trip():
 def test_bad_problem_json_is_config_error():
     with pytest.raises(ConfigError):
         problem_from_json({"n": 2, "loss": {"family": "nope"}, "penalty": {}})
+
+
+def test_stationary_set_warnings_default_to_empty():
+    assert StationarySetApprox(np.zeros((1, 2)), 0.0, "analytic").warnings == []

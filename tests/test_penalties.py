@@ -145,6 +145,43 @@ def test_semiconvex_families_prox_equals_limiting():
                 limiting_subdiff_scalar(g, float(t)))
 
 
+def _one_sided_slopes(g, t, h=1e-7):
+    """Difference quotients of the value: independent of the slope formula."""
+    f0 = g.scalar_value(t)
+    return (f0 - g.scalar_value(t - h)) / h, (g.scalar_value(t + h) - f0) / h
+
+
+@pytest.mark.parametrize("g", SEPARABLE, ids=lambda g: g.family)
+def test_subdifferentials_match_difference_quotients(g):
+    rng = np.random.default_rng(5)
+    bps = g.breakpoints()
+    thetas = bps + [float(t) for t in rng.uniform(-6.0, 6.0, 50)
+                    if all(abs(t - b) > 1e-3 for b in bps)]
+    for t in thetas:
+        prox_sd, lim_sd = g.prox_subdiff(t), g.limiting_subdiff(t)
+        if g.scalar_value(t) == math.inf:
+            assert prox_sd.is_empty and lim_sd.is_empty, (g.family, t)
+            continue
+        dl, dr = _one_sided_slopes(g, t)
+        if abs(dl - dr) <= 1e-4:          # differentiable at t
+            want_prox = want_lim = IntervalSet.point(0.5 * (dl + dr))
+        elif dl < dr:                      # convex kink; half-line at a box end
+            want_prox = want_lim = IntervalSet.closed(dl, dr)
+        else:                              # concave kink
+            want_prox = IntervalSet.empty()
+            want_lim = IntervalSet.of((dr, dr), (dl, dl))
+        assert prox_sd.equals(want_prox, tol=1e-5), (g.family, t, prox_sd)
+        assert lim_sd.equals(want_lim, tol=1e-5), (g.family, t, lim_sd)
+    for limiting, sd in ((False, g.prox_subdiff), (True, g.limiting_subdiff)):
+        lo, hi = g.subdiff_bounds_array(np.array(thetas), limiting)
+        hulls = [sd(t).hull() or (math.inf, -math.inf) for t in thetas]
+        assert lo.tolist() == [h[0] for h in hulls]
+        assert hi.tolist() == [h[1] for h in hulls]
+    if g.family == "box-indicator":
+        assert g.prox_subdiff(g.lower).equals(IntervalSet.closed(-math.inf, 0.0))
+        assert g.prox_subdiff(g.upper).equals(IntervalSet.closed(0.0, math.inf))
+
+
 # ---------------------------------------------------------------------------
 # graphs
 

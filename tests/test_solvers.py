@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calmkit.core import ConfigError, NumericAbort, ProblemSpec, SolverConfig
-from calmkit.diagnostics import classify_stationarity, kappa1
+from calmkit.diagnostics import classify_stationarity, kappa1, residual
 from calmkit.losses import Box, ExponentialLoss, QuadraticLoss
 from calmkit.oracle import brute_force_stationary_set
 from calmkit.penalties import L1Penalty, NegAbsPenalty, ScadPenalty, ZeroPenalty
@@ -60,6 +60,19 @@ def test_pg_perturbation_identity_membership():
             d = prob.penalty.prox_subdiff(float(xk1[i])).distance(float(lhs[i]))
             assert d <= 1e-8
         assert np.array_equal(p, xk - xk1)
+
+
+@pytest.mark.parametrize("penalty", [L1Penalty(1.0), ScadPenalty(1.0, 3.0),
+                                     NegAbsPenalty(0.5)], ids=lambda g: g.family)
+def test_pg_trace_residual_is_the_residual_of_its_point(penalty):
+    # the loop reuses each iterate's prox sets for its residual and its step
+    prob = ProblemSpec(2, QuadraticLoss([[1.0, 0.3], [0.3, 2.0]], [-2.0, 0.5]),
+                       penalty)
+    gamma = 0.4
+    cfg = SolverConfig(gamma=gamma, max_iter=60, stop_tol=0.0, lipschitz_L=2.1)
+    tr = pg_solve(prob, cfg, np.array([2.5, -1.5]))
+    for k in range(len(tr)):
+        assert tr.residuals[k] == residual(prob, tr.points[k], gamma)
 
 
 def test_pg_fixed_point_stays():
