@@ -5,9 +5,10 @@ The multiplier systems of the separable criteria constrain, per coordinate,
 the planar vector ((H eta)_i, eta_i) (or (w_i, -(H w)_i) for critical
 directions) to an atom of a normal (or tangent) cone.  Each atom reduces to
 at most two linear equality/inequality rows; feasibility of a nonzero
-solution is decided exactly through the null space of the equalities plus
-planar ray enumeration (an LP fallback covers null spaces of dimension
-three and higher, which the paper-scale examples never reach).
+solution is decided through the null space of the equalities: by planar ray
+enumeration when it has dimension at most two (Example 5.1 and other
+small cases), and otherwise by a lineality test plus at most one LP (the
+all-vertex instances at n = 6 reach this).
 """
 
 from __future__ import annotations
@@ -119,24 +120,35 @@ def _normalize_rows(M):
     return M[keep] / norms[keep, None]
 
 
-def _planar_candidates(Cc):
+def _reduce(E, C):
+    """Normalised rows E, C, a null-space basis N of E, and Cc = C N.
+
+    {E z = 0, C z >= 0} is the image under N of the cone {y : Cc y >= 0}.
+    """
+    E = _normalize_rows(E)
+    C = _normalize_rows(C)
+    N = null_space(E) if E.shape[0] else np.eye(E.shape[1])
+    Cc = _normalize_rows(C @ N) if C.shape[0] and N.shape[1] else np.zeros((0, N.shape[1]))
+    return E, C, N, Cc
+
+
+def _planar_feasible(Cc):
+    """Candidate rays of the planar cone {Cc u >= 0} that lie in it."""
     cands = [np.array(v) for v in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))]
     for c in Cc:
         cands.append(np.array([c[1], -c[0]]))
         cands.append(np.array([-c[1], c[0]]))
-    return cands
+    return [u for u in cands if np.all(Cc @ u >= -FEAS_TOL)]
 
 
-def _nonzero_in_cone(E, C):
-    """A nonzero z with E z = 0 and C z >= 0, or None if only zero exists."""
-    n = E.shape[1] if E.size else C.shape[1]
-    E = _normalize_rows(E)
-    C = _normalize_rows(C)
-    N = null_space(E) if E.shape[0] else np.eye(n)
+def _nonzero_in_cone(N, Cc):
+    """A nonzero z = N y with Cc y >= 0, or None if only y = 0 qualifies.
+
+    (N, Cc) is the reduction of {E z = 0, C z >= 0} made by _reduce.
+    """
     d = N.shape[1]
     if d == 0:
         return None
-    Cc = _normalize_rows(C @ N) if C.shape[0] else np.zeros((0, d))
     if Cc.shape[0] == 0:
         return N[:, 0]
     if d == 1:
@@ -145,54 +157,43 @@ def _nonzero_in_cone(E, C):
                 return s * N[:, 0]
         return None
     if d == 2:
-        feas = [u for u in _planar_candidates(Cc) if np.all(Cc @ u >= -FEAS_TOL)]
-        if feas:
-            return N @ feas[0]
+        feas = _planar_feasible(Cc)
+        return N @ feas[0] if feas else None
+    # d >= 3: a direction of the lineality space {Cc y = 0} qualifies;
+    # without one the cone is pointed, so each nonzero y in it has
+    # Cc y >= 0 with Cc y != 0, and one LP scaled by 1^T Cc y = 1 decides.
+    # Unit rows bound the largest singular value by sqrt(rows), so the rank
+    # cutoff keeps |Cc y| <= FEAS_TOL, the tolerance of the planar tests.
+    lineal = null_space(Cc, rcond=FEAS_TOL / math.sqrt(Cc.shape[0]))
+    if lineal.shape[1]:
+        return N @ lineal[:, 0]
+    res = linprog(np.zeros(d), A_ub=-Cc, b_ub=np.zeros(Cc.shape[0]),
+                  A_eq=Cc.sum(axis=0)[None, :], b_eq=[1.0],
+                  bounds=[(None, None)] * d, method="highs")
+    if res.status == 2:
         return None
-    # higher-dimensional fallback: bounded LPs per coordinate direction
-    for j in range(d):
-        for sign in (1.0, -1.0):
-            cvec = np.zeros(d)
-            cvec[j] = -sign
-            res = linprog(cvec, A_ub=-Cc, b_ub=np.zeros(Cc.shape[0]),
-                          bounds=[(-1.0, 1.0)] * d, method="highs")
-            if res.status == 0 and -res.fun > 1e-7:
-                z = res.x
-                if np.all(Cc @ z >= -FEAS_TOL) and np.linalg.norm(z) > 1e-7:
-                    return N @ z
-    return None
+    if res.status != 0:
+        raise CertificateError("multiplier LP failed: HiGHS status %d (%s)"
+                               % (res.status, res.message))
+    return N @ (res.x / np.linalg.norm(res.x))
 
 
-def _cone_generators(E, C):
-    """Extreme rays plus one interior direction of {E z = 0, C z >= 0}."""
-    n = E.shape[1] if E.size else C.shape[1]
-    E = _normalize_rows(E)
-    C = _normalize_rows(C)
-    N = null_space(E) if E.shape[0] else np.eye(n)
+def _cone_generators(N, Cc):
+    """Extreme rays plus one interior direction of the reduced cone N {Cc y >= 0}.
+
+    In three or more dimensions only one nonzero direction is returned.
+    """
     d = N.shape[1]
-    if d == 0:
-        return []
-    Cc = _normalize_rows(C @ N) if C.shape[0] else np.zeros((0, d))
-    gens = []
-    if Cc.shape[0] == 0:
-        for j in range(d):
-            gens.append(N[:, j])
-            gens.append(-N[:, j])
+    if d and Cc.shape[0] == 0:
+        gens = [s * N[:, j] for j in range(d) for s in (1.0, -1.0)]
         if d > 1:
             mix = N @ (np.arange(1, d + 1) / math.sqrt(d))
-            gens.append(mix)
-            gens.append(-mix)
-        return gens
-    if d == 1:
-        for s in (1.0, -1.0):
-            if np.all(s * Cc[:, 0] >= -FEAS_TOL):
-                gens.append(s * N[:, 0])
+            gens += [mix, -mix]
         return gens
     if d == 2:
-        feas = [u for u in _planar_candidates(Cc) if np.all(Cc @ u >= -FEAS_TOL)]
         # dedupe in the plane, then add midpoints of adjacent extreme rays
         uniq = []
-        for u in feas:
+        for u in _planar_feasible(Cc):
             u = u / np.linalg.norm(u)
             if not any(np.dot(u, v) > 1.0 - 1e-12 for v in uniq):
                 uniq.append(u)
@@ -203,8 +204,36 @@ def _cone_generators(E, C):
             if nm > 1e-9 and np.all(Cc @ (m / nm) >= -FEAS_TOL):
                 gens.append(N @ (m / nm))
         return gens
-    z = _nonzero_in_cone(np.zeros((0, d)), Cc)
-    return [N @ (z / np.linalg.norm(z))] if z is not None else []
+    z = _nonzero_in_cone(N, Cc)
+    return [] if z is None else [z]
+
+
+def _membership_residual(E, C, z):
+    """Largest violation of the normalised rows E z = 0, C z >= 0 at z."""
+    r = 0.0
+    if E.shape[0]:
+        r = max(r, float(np.max(np.abs(E @ z))))
+    if C.shape[0]:
+        r = max(r, float(np.max(np.maximum(-(C @ z), 0.0))))
+    return r
+
+
+def _systems(atoms, emb_rows):
+    """Reduce the system of each combination of one atom per coordinate."""
+    for combo in itertools.product(*atoms):
+        yield _reduce(*_assemble(combo, emb_rows))
+
+
+def _multipliers(atoms, emb_rows):
+    """Per combination: a unit z != 0 of its system with the membership
+    residual of z in that same system, or (None, 0.0) when only zero exists."""
+    for E, C, N, Cc in _systems(atoms, emb_rows):
+        z = _nonzero_in_cone(N, Cc)
+        if z is None:
+            yield None, 0.0
+            continue
+        z = z / np.linalg.norm(z)
+        yield z, _membership_residual(E, C, z)
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +256,6 @@ def _certificate_setup(prob: ProblemSpec, x_bar, tol):
     return x_bar, G, H, points
 
 
-def _witness_membership_residual(combo, emb_rows, z):
-    """Largest violation of the constraint rows at z (for witness validation)."""
-    E, C = _assemble(combo, emb_rows)
-    r = 0.0
-    if E.shape[0]:
-        r = max(r, float(np.max(np.abs(_normalize_rows(E) @ z))))
-    if C.shape[0]:
-        r = max(r, float(np.max(np.maximum(-( _normalize_rows(C) @ z), 0.0))))
-    return r
-
-
 def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateReport:
     """No-nonzero-abnormal-multiplier CQ on the separable adjoint system.
 
@@ -249,23 +267,18 @@ def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     n = prob.n
     atoms = [limiting_normal_atoms(G, p, tol) for p in points]
     emb = [(H[i], np.eye(n)[i]) for i in range(n)]
-    examined = 0
-    suspect = 0
-    for combo in itertools.product(*atoms):
+    examined = suspect = 0
+    for z, res in _multipliers(atoms, emb):
         examined += 1
-        E, C = _assemble(combo, emb)
-        z = _nonzero_in_cone(E, C)
-        if z is not None:
-            z = z / np.linalg.norm(z)
-            xi = H @ z
-            res = _witness_membership_residual(combo, emb, z)
-            if res > 1e-9:
-                suspect += 1   # near-degenerate system: keep enumerating
-                continue
-            return CertificateReport(
-                condition="NNAMCQ", verdict="fails",
-                witnesses=[[xi, z]], pieces_examined=examined,
-                notes="nonzero multiplier (xi, eta); membership residual %.2e" % res)
+        if z is None:
+            continue
+        if res > 1e-9:
+            suspect += 1   # near-degenerate system: keep enumerating
+            continue
+        return CertificateReport(
+            condition="NNAMCQ", verdict="fails",
+            witnesses=[[H @ z, z]], pieces_examined=examined,
+            notes="nonzero multiplier (xi, eta); membership residual %.2e" % res)
     if suspect:
         return CertificateReport(condition="NNAMCQ", verdict="inconclusive",
                                  pieces_examined=examined,
@@ -289,10 +302,9 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     emb_w = [(np.eye(n)[i], -H[i]) for i in range(n)]
     examined = 0
     directions = []
-    for combo in itertools.product(*t_atoms):
+    for _, _, N, Cc in _systems(t_atoms, emb_w):
         examined += 1
-        E, C = _assemble(combo, emb_w)
-        for w in _cone_generators(E, C):
+        for w in _cone_generators(N, Cc):
             nw = np.linalg.norm(w)
             if nw < 1e-12:
                 continue
@@ -309,13 +321,9 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
         Hw = H @ w
         d_atoms = [directional_limiting_normal_atoms(G, points[i], (w[i], -Hw[i]), tol)
                    for i in range(n)]
-        for combo in itertools.product(*d_atoms):
+        for z, res in _multipliers(d_atoms, emb_eta):
             examined += 1
-            E, C = _assemble(combo, emb_eta)
-            z = _nonzero_in_cone(E, C)
             if z is not None:
-                z = z / np.linalg.norm(z)
-                res = _witness_membership_residual(combo, emb_eta, z)
                 return CertificateReport(
                     condition="FOSCMS", verdict="inconclusive",
                     witnesses=[[w, H @ z, z]], pieces_examined=examined,

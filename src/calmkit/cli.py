@@ -18,7 +18,7 @@ from .calmness import CertificateError
 from .constrained_solvers import (LinearlyConstrainedProblem, SaddleProblem,
                                   gpadmm_solve, pdhg_solve, term_from_json)
 from .core import (ConfigError, IterateTrace, NumericAbort, SolverConfig,
-                   load_problem)
+                   load_problem, problem_from_json)
 from .graphs_cones import (GraphPointError, directional_limiting_normal_cone,
                            limiting_normal_cone, tangent_cone)
 from .losses import Box, LossError
@@ -31,11 +31,13 @@ CONFIG_ERRORS = (ConfigError, PenaltyError, LossError, GraphPointError)
 
 @contextlib.contextmanager
 def _user_input(what):
-    """Report malformed user input read inside the block as a ConfigError."""
+    """Report unreadable or malformed user input as a ConfigError."""
     try:
         yield
     except CONFIG_ERRORS:
         raise
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s" % (what, exc)) from exc
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError("malformed %s: %s" % (what, exc)) from exc
 
@@ -76,10 +78,10 @@ def _lipschitz(prob, args):
 
 
 def cmd_solve(args) -> int:
-    with open(args.problem) as fh, _user_input("problem file %s" % args.problem):
+    with _user_input("problem file %s" % args.problem), open(args.problem) as fh:
         raw = json.load(fh)
     if args.solver in ("pg", "ppa"):
-        prob = load_problem(args.problem)
+        prob = problem_from_json(raw)
         L, box = _lipschitz(prob, args)
         cfg = _solver_config(args, prob, L, box)
         x0 = _parse_vector(args.x0, prob.n) if args.x0 else np.zeros(prob.n)
@@ -182,7 +184,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_certify(args) -> int:
     prob = load_problem(args.problem)
-    with open(args.point) as fh, _user_input("point file %s" % args.point):
+    with _user_input("point file %s" % args.point), open(args.point) as fh:
         data = json.load(fh)
         x = np.array(data["x"] if isinstance(data, dict) else data, dtype=float)
     reports = []

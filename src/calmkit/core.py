@@ -183,11 +183,13 @@ def problem_from_json(d: dict) -> ProblemSpec:
 
 
 def load_problem(path) -> ProblemSpec:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("problem file %s is not JSON: %s" % (path, exc)) from exc
+    except OSError as exc:
+        raise ConfigError("cannot read problem file %s: %s" % (path, exc)) from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError("problem file %s is not JSON: %s" % (path, exc)) from exc
     return problem_from_json(raw)
 
 

@@ -9,8 +9,6 @@ they check.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,13 +17,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 class OracleError(RuntimeError):
     pass
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CALMKIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +258,16 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
         keep &= (T[:, i] + margin >= lo_h[idx]) & (T[:, i] - margin <= hi_h[idx])
     centers = X[keep]
 
-    def refine_block(block):
-        found, dropped = [], 0
-        for c in block:
-            x, res = _refine_candidate(penalty, target, c, cell_radius, limiting,
-                                       accept_tol)
-            x, res = _snap_and_accept(penalty, target, x, res, limiting,
-                                      accept_tol, lip_bound)
-            if x is not None:
-                found.append((x, res))
-            else:
-                dropped += 1
-        return found, dropped
-
-    workers = _worker_count()
-    if workers > 1 and len(centers) > 8:
-        chunks = np.array_split(centers, workers)
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(refine_block, chunks))
-        results = [r for found, _ in parts for r in found]
-        discarded = sum(d for _, d in parts)
-    else:
-        results, discarded = refine_block(centers)
+    results, discarded = [], 0
+    for c in centers:
+        x, res = _refine_candidate(penalty, target, c, cell_radius, limiting,
+                                   accept_tol)
+        x, res = _snap_and_accept(penalty, target, x, res, limiting,
+                                  accept_tol, lip_bound)
+        if x is not None:
+            results.append((x, res))
+        else:
+            discarded += 1
 
     if dedup_radius is None:
         dedup_radius = 2.0 * cell_radius

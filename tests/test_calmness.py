@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,106 @@ def test_nnamcq_lp_fallback_certifies_zero_only():
 
 
 # ---------------------------------------------------------------------------
+# the multiplier test on null spaces of dimension three and higher
+
+def _box_lp_has_nonzero(E, C):
+    """Reference: maximise each +-z_j over {E z = 0, C z >= 0, |z_j| <= 1}."""
+    from scipy.optimize import linprog
+    n = E.shape[1]
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[j] = -sign
+            res = linprog(c, A_ub=-C if C.shape[0] else None,
+                          b_ub=np.zeros(C.shape[0]) if C.shape[0] else None,
+                          A_eq=E if E.shape[0] else None,
+                          b_eq=np.zeros(E.shape[0]) if E.shape[0] else None,
+                          bounds=[(-1.0, 1.0)] * n, method="highs")
+            assert res.status == 0
+            if -res.fun > 1e-7:
+                return True
+    return False
+
+
+def _random_cone_system(rng, kind):
+    """(E, C) in R^n whose equalities leave a d >= 3 dimensional subspace,
+    on which C cuts out a pointed cone, a cone with a lineality space, the
+    cone {0}, or whatever random rows give."""
+    d = int(rng.integers(3, 7))
+    n = d + int(rng.integers(0, 7 - d))
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    N, P = basis[:, :d], basis[:, d:]
+    E = (P @ rng.standard_normal((n - d, n - d))).T
+    rows = rng.standard_normal((int(rng.integers(d, 2 * d + 2)), d))
+    if kind == "pointed":
+        y0 = rng.standard_normal(d)
+        rows *= np.sign(rows @ y0)[:, None]
+    elif kind == "lineality":
+        line = rng.standard_normal((int(rng.integers(1, d - 1)), d))
+        Q, _ = np.linalg.qr(line.T)
+        rows -= (rows @ Q) @ Q.T
+    elif kind == "zero":
+        rows = np.vstack([rows, -rows.sum(axis=0)])
+    return E, rows @ N.T
+
+
+@pytest.mark.parametrize("kind", ["pointed", "lineality", "zero", "random"])
+def test_nonzero_in_cone_matches_box_lp_reference(kind):
+    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    found = 0
+    for _ in range(50):
+        E, C = _random_cone_system(rng, kind)
+        z = _nonzero_in_cone(*_reduce(E, C)[2:])
+        assert (z is not None) == _box_lp_has_nonzero(E, C)
+        if z is None:
+            continue
+        found += 1
+        z = z / np.linalg.norm(z)
+        En = E / np.linalg.norm(E, axis=1, keepdims=True)
+        Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
+        assert np.all(np.abs(En @ z) <= FEAS_TOL)
+        assert np.all(Cn @ z >= -FEAS_TOL)
+    expected = {"pointed": 50, "lineality": 50, "zero": 0}
+    if kind in expected:
+        assert found == expected[kind]
+
+
+def _l1_all_vertex(n, seed):
+    # dense positive definite Q; q puts every coordinate at a graph vertex
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2 * n, n))
+    Q = A.T @ A / (2 * n) + 0.5 * np.eye(n)
+    signs = rng.choice([-1.0, 1.0], size=n)
+    return ProblemSpec(n, QuadraticLoss(0.5 * (Q + Q.T), -signs), L1Penalty(1.0))
+
+
+def test_multiplier_systems_cost_at_most_one_lp_each(monkeypatch):
+    import calmkit.calmness as calmness
+    calls = []
+    real = calmness.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(calmness, "linprog", counting)
+    rep = check_nnamcq(_l1_all_vertex(5, 3), np.zeros(5))
+    assert rep.pieces_examined == 3 ** 5
+    assert 0 < len(calls) <= rep.pieces_examined
+
+
+def test_unsolved_multiplier_lp_raises(monkeypatch):
+    import types
+    import calmkit.calmness as calmness
+    monkeypatch.setattr(calmness, "linprog", lambda *a, **k: types.SimpleNamespace(
+        status=4, message="numerical difficulties"))
+    # the positive orthant of R^3 is pointed, so only the LP can decide it
+    with pytest.raises(CertificateError, match="status 4"):
+        calmness._nonzero_in_cone(np.eye(3), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
 # angular-sampling cross-check of the multiplier engine (n = 2)
 #
 # Random stationary instances are synthesized by choosing a point pattern,
@@ -338,7 +440,7 @@ def test_nnamcq_engine_matches_angular_sweep(family):
     from calmkit.penalties import McpPenalty as _M, ScadPenalty as _S, L1Penalty as _L
     make = {"l1": lambda: _L(1.0), "scad": lambda: _S(1.0, 3.0),
             "mcp": lambda: _M(1.0, 2.0)}[family]
-    rng = np.random.default_rng(hash(family) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(family.encode()))
     agreements = 0
     for _ in range(40):
         prob, x_bar = _random_stationary_instance(rng, make())
@@ -358,7 +460,7 @@ def test_foscms_stage1_matches_angular_sweep(family):
     from calmkit.penalties import McpPenalty as _M, ScadPenalty as _S, L1Penalty as _L
     make = {"l1": lambda: _L(1.0), "scad": lambda: _S(1.0, 3.0),
             "mcp": lambda: _M(1.0, 2.0)}[family]
-    rng = np.random.default_rng((hash(family) + 5) % 2 ** 31)
+    rng = np.random.default_rng(zlib.crc32(family.encode()) + 5)
     for _ in range(40):
         prob, x_bar = _random_stationary_instance(rng, make())
         rep = check_foscms(prob, x_bar)

@@ -200,3 +200,20 @@ def test_malformed_user_input_exits_2(tmp_path, capsys, argv):
     argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "{missing}", "--solver", "pg"],
+    ["solve", "--problem", "{missing}", "--solver", "admm"],
+    ["diagnose", "--trace", "{missing}", "--problem", "{ok}", "--gamma", "0.5"],
+    ["diagnose", "--trace", "{missing}", "--problem", "{missing}", "--gamma", "0.5"],
+    ["certify", "--problem", "{ok}", "--point", "{missing}"],
+    ["certify", "--problem", "{missing}", "--point", "{missing}"],
+    ["oracle", "stationary-set", "--problem", "{missing}", "--box=-6,6"],
+])
+def test_missing_input_file_exits_2(tmp_path, capsys, argv):
+    files = {"{ok}": write(tmp_path, "p.json", LASSO),
+             "{missing}": str(tmp_path / "nope.json")}
+    argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "cannot read" in capsys.readouterr().err

@@ -109,6 +109,22 @@ def test_lipschitz_bound_examples():
     assert lb.scope == "box"
 
 
+def test_lipschitz_bound_is_an_upper_bound():
+    # a "bound" below the spectral radius lets theory mode accept gamma just
+    # above 1/L; it must cover both eigvalsh and an extended-precision
+    # Rayleigh quotient, and stay within 1e-10 relative of them
+    rng = np.random.default_rng(7)
+    B = rng.standard_normal((200, 200))
+    Q = B @ B.T / 200
+    bound = QuadraticLoss(Q, np.zeros(200)).lipschitz_bound().value
+    _, V = np.linalg.eigh(Q)
+    v = V[:, -1].astype(np.longdouble)
+    rayleigh = float((v @ (Q.astype(np.longdouble) @ v)) / (v @ v))
+    top = max(float(np.linalg.eigvalsh(Q)[-1]), rayleigh)
+    assert bound >= top
+    assert bound - top <= 1e-10 * top
+
+
 def test_exponential_needs_box():
     with pytest.raises(LossError, match="box"):
         lipschitz_bound(ExponentialLoss([[1.0]], [1.0]))

@@ -145,16 +145,6 @@ def test_set_valued_solve_spg_consistency():
     assert len(sols) == 1 and abs(sols[0][0] - 3.05) < 1e-6
 
 
-def test_worker_count_does_not_change_results(monkeypatch):
-    prob = ProblemSpec(2, QuadraticLoss(np.eye(2), np.array([-4.0, 0.0])),
-                       L1Penalty(1.0))
-    box = (np.full(2, -6.0), np.full(2, 6.0))
-    S1 = brute_force_stationary_set(prob, box, cells=150)
-    monkeypatch.setenv("CALMKIT_THREADS", "4")
-    S4 = brute_force_stationary_set(prob, box, cells=150)
-    assert np.array_equal(S1.points, S4.points)
-
-
 def test_quadratic_l1_solutions_within_kappa_p():
     prob = ProblemSpec(2, QuadraticLoss(np.eye(2), np.array([-4.0, 0.0])),
                        L1Penalty(1.0))
