@@ -50,10 +50,19 @@ def _parse_vector(text, n=None):
     return v
 
 
+@contextlib.contextmanager
+def _user_output(path):
+    """Report an unwritable output path as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from exc
+
+
 def _emit(obj, path=None):
     text = json.dumps(obj, indent=2, default=str)
     if path:
-        with open(path, "w") as fh:
+        with _user_output(path), open(path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -87,7 +96,6 @@ def cmd_solve(args) -> int:
         x0 = _parse_vector(args.x0, prob.n) if args.x0 else np.zeros(prob.n)
         solver = pg_solve if args.solver == "pg" else ppa_solve
         tr = solver(prob, cfg, x0)
-        tr.write_csv(args.out)
         summary = {"solver": args.solver, "iterations": len(tr) - 1,
                    "final_F": tr.objectives[-1], "final_residual": tr.residuals[-1],
                    "final_pnorm": float(tr.pnorms()[-1]), "L": L}
@@ -109,7 +117,6 @@ def cmd_solve(args) -> int:
             v = _parse_vector(args.x0, n1 + n2 + m)
             start = (v[:n1], v[n1:n1 + n2], v[n1 + n2:])
         tr = gpadmm_solve(lcp, beta, D1, D2, cfg, start)
-        tr.write_csv(args.out)
         summary = {"solver": "admm", "iterations": len(tr) - 1,
                    "final_pnorm": float(tr.pnorms()[-1]),
                    "max_inclusion_residual": max(tr.inclusion_residuals[1:], default=0.0)}
@@ -127,12 +134,13 @@ def cmd_solve(args) -> int:
             v = _parse_vector(args.x0, n + m)
             start = (v[:n], v[n:])
         tr = pdhg_solve(sp, tau, sigma, cfg, start, theory_mode=not args.permissive)
-        tr.write_csv(args.out)
         summary = {"solver": "pdhg", "iterations": len(tr) - 1,
                    "final_pnorm": float(tr.pnorms()[-1]),
                    "max_inclusion_residual": max(tr.inclusion_residuals[1:], default=0.0)}
     else:
         raise ConfigError("unknown solver %r" % args.solver)
+    with _user_output(args.out):
+        tr.write_csv(args.out)
     _emit(summary, args.summary)
     return 0
 

@@ -188,7 +188,7 @@ def load_problem(path) -> ProblemSpec:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read problem file %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError("problem file %s is not JSON: %s" % (path, exc)) from exc
     return problem_from_json(raw)
 

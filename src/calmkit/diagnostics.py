@@ -60,18 +60,16 @@ def verify_cost_to_go(prob: ProblemSpec, trace: IterateTrace, gamma: float,
     """F(x^{k+1}) - F(x) <= kappa2 (||x - x^{k+1}||^2 + ||p_{k+1}||^2) for probes x."""
     k2 = kappa2(gamma, L)
     rep = InequalityReport("cost-to-go", k2, 0)
-    probes = [np.asarray(p, dtype=float) for p in probe_points]
-    probe_F = [prob.objective(x) for x in probes]
+    probes = np.asarray(probe_points, dtype=float).reshape(-1, prob.n)
+    probe_F = np.array([prob.objective(x) for x in probes])
+    # one iterate at a time: all at once would hold iterates x probes x n doubles
     for k in range(1, len(trace)):
-        xk1 = trace.points[k]
+        D = probes - trace.points[k]
         p2 = float(np.dot(trace.perturbations[k], trace.perturbations[k]))
         tol = 1e-9 * (1.0 + abs(trace.objectives[k]))
-        for x, Fx in zip(probes, probe_F):
-            rep.checked += 1
-            rhs = k2 * (float(np.dot(x - xk1, x - xk1)) + p2)
-            slack = (trace.objectives[k] - Fx) - rhs
-            if slack > tol:
-                rep.violations.append((k, slack))
+        slack = (trace.objectives[k] - probe_F) - k2 * (np.einsum("ij,ij->i", D, D) + p2)
+        rep.checked += len(probes)
+        rep.violations += [(k, float(s)) for s in slack[slack > tol]]
     return rep
 
 

@@ -20,6 +20,15 @@ from .graphs_cones import Piece, PolylineGraph, segment
 
 TIE_REL_TOL = 1e-12  # relative tolerance for declaring multiple global prox minimizers
 KINK_REL_TOL = 1e-12  # one-sided slopes this close meet smoothly (no kink)
+# Separable families switch from the per-coordinate scalar routines to the
+# array kernels (prox and value) at this dimension; both give bit-identical
+# results.  Crossover of prox_step, microseconds scalar/array (min of 15
+# runs, 2-core x86-64, numpy 2.4, one BLAS thread):
+#   n = 8:  l1 96/116, scad 207/122, mcp 138/118, negabs 56/71,   box 48/74
+#   n = 12: l1 126/156, scad 251/97, mcp 192/159, negabs 148/120, box 119/117
+#   n = 16: l1 180/94, scad 303/119, mcp 226/107, negabs 147/125, box 143/118
+# value (scad) costs 4-18 us scalar and 14-25 us array for n = 2..16.
+ARRAY_MIN_N = 12
 
 
 class PenaltyError(ValueError):
@@ -133,6 +142,26 @@ def _scalar_prox_candidates(pieces, u, gamma):
     return tuple(out), best
 
 
+def select_closest(cands, ref):
+    """Closest candidate to ref; ties broken toward the smaller value."""
+    best = None
+    for c in sorted(cands):
+        d = abs(c - ref)
+        if best is None or d < best[0] - 1e-15:
+            best = (d, c)
+    return best[1]
+
+
+def _sum(terms) -> float:
+    """Left-to-right float sum.
+
+    The builtin sum is compensated from Python 3.12 on, so the scalar and
+    array paths share this one to agree on every version.
+    """
+    acc = np.add.accumulate(np.asarray(terms, dtype=float))
+    return float(acc[-1]) if acc.size else 0.0
+
+
 # ---------------------------------------------------------------------------
 # penalty families
 
@@ -175,10 +204,20 @@ class Penalty:
         val = self.value(x0) + float(np.dot(x0 - u, x0 - u)) / (2.0 * gamma)
         return ProxResult(minimizers, val)
 
+    def prox_step(self, x, u, gamma):
+        """(x_next, dist(x, Prox(u))) from one evaluation of the prox sets.
+
+        x_next is the minimizer closest to x, coordinate by coordinate (ties
+        toward the smaller value); the distance is to the whole set.
+        """
+        x = np.asarray(x, dtype=float)
+        sets = self.prox_coordinate_sets(np.asarray(u, dtype=float), gamma)
+        x_next = np.array([select_closest(s, xi) for s, xi in zip(sets, x)])
+        return x_next, coordinate_sets_distance(x, sets)
+
     def prox_distance(self, x, u, gamma) -> float:
         """dist(x, Prox(u)) using the exact per-coordinate argmin sets."""
-        sets = self.prox_coordinate_sets(np.asarray(u, dtype=float), gamma)
-        return coordinate_sets_distance(np.asarray(x, dtype=float), sets)
+        return self.prox_step(x, u, gamma)[1]
 
     def graph(self) -> PolylineGraph:
         raise PenaltyError("family %r has no one-dimensional graph" % self.family)
@@ -189,8 +228,8 @@ class Penalty:
 
 def coordinate_sets_distance(x, sets) -> float:
     """Euclidean distance from x to the product of finite coordinate sets."""
-    return math.sqrt(sum(min((xi - c) ** 2 for c in s)
-                         for xi, s in zip(x, sets)))
+    return math.sqrt(_sum([min((xi - c) ** 2 for c in s)
+                           for xi, s in zip(x, sets)]))
 
 
 def _slope(piece, t):
@@ -237,6 +276,16 @@ class SeparablePenalty(Penalty):
         self._limiting_at_knot = {
             b: IntervalSet(((dl, dr),)) if dl <= dr else IntervalSet.of((dr, dr), (dl, dl))
             for b, (dl, dr) in joins.items()}
+        # value: piece searchsorted(_his, theta) holds theta, from _lo on
+        self._his = np.array([pc[1] for pc in pieces])
+        self._coef = np.array([pc[2:] for pc in pieces]).T
+        # prox candidates in _scalar_prox_candidates' order: per piece its
+        # clamped vertex (end = nan), then each finite end with its coefficients
+        cols = []
+        for lo, hi, a2, a1, a0 in pieces:
+            cols.append((math.nan, lo, hi, a2, a1, a0))
+            cols += [(t, lo, hi, a2, a1, a0) for t in (lo, hi) if math.isfinite(t)]
+        self._prox_table = np.array(cols).T
 
     def scalar_pieces(self):
         """Quadratic pieces (lo, hi, a2, a1, a0) of phi, left to right, covering its domain."""
@@ -260,7 +309,13 @@ class SeparablePenalty(Penalty):
         return out
 
     def value(self, x) -> float:
-        return float(sum(self.scalar_value(float(t)) for t in np.atleast_1d(x)))
+        theta = np.atleast_1d(np.asarray(x, dtype=float))
+        if theta.size < ARRAY_MIN_N:
+            return _sum([self.scalar_value(float(t)) for t in theta])
+        j = np.searchsorted(self._his, theta)
+        a2, a1, a0 = self._coef[:, np.minimum(j, len(self.pieces) - 1)]
+        vals = a2 * theta * theta + a1 * theta + a0
+        return _sum(np.where((theta >= self._lo) & (j < len(self.pieces)), vals, math.inf))
 
     def value_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -270,7 +325,65 @@ class SeparablePenalty(Penalty):
         return _scalar_prox_candidates(self.pieces, float(u), gamma)[0]
 
     def prox_coordinate_sets(self, u, gamma):
-        return [self.prox_scalar(float(ui), gamma) for ui in np.atleast_1d(u)]
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.size < ARRAY_MIN_N:
+            return [self.prox_scalar(float(ui), gamma) for ui in u]
+        P = self._prox_array(u, gamma)
+        return [tuple(r[:c]) for r, c in zip(P.tolist(), np.isfinite(P).sum(axis=1).tolist())]
+
+    def prox_step(self, x, u, gamma):
+        u = np.asarray(u, dtype=float)
+        if u.size < ARRAY_MIN_N:
+            return super().prox_step(x, u, gamma)
+        x = np.asarray(x, dtype=float)
+        P = self._prox_array(u, gamma)
+        # select_closest over each row; the +inf padding never wins
+        x_next = P[:, 0].copy()
+        best = np.abs(x_next - x)
+        for c in P.T[1:]:
+            d = np.abs(c - x)
+            closer = d < best - 1e-15
+            x_next[closer] = c[closer]
+            best[closer] = d[closer]
+        # Python's float ** (C pow), as coordinate_sets_distance squares
+        sq = np.float_power(x[:, None] - P, 2).min(axis=1)
+        return x_next, math.sqrt(_sum(sq))
+
+    def _prox_array(self, u, gamma):
+        """Every coordinate's prox minimizers, ascending, padded with +inf.
+
+        The array form of _scalar_prox_candidates over the candidate table,
+        operation for operation, so the sets are bit-identical to it.
+        """
+        end, lo, hi, a2, a1, a0 = self._prox_table
+        inv2g = 0.5 / gamma
+        lead = a2 + inv2g
+        vertex = np.isnan(end)
+        cols = ~vertex | (lead > 0.0)
+        end, lo, hi, a2, a1, a0, lead, vertex = (
+            a[cols] for a in (end, lo, hi, a2, a1, a0, lead, vertex))
+        T = np.empty((u.size, end.size))
+        T[:, ~vertex] = end[~vertex]
+        t = (u[:, None] / gamma - a1[vertex]) / (2.0 * lead[vertex])
+        # Python's min(max(t, lo), hi), which keeps t (and its signed zero) on a tie
+        t = np.where(lo[vertex] > t, lo[vertex], t)
+        T[:, vertex] = np.where(hi[vertex] < t, hi[vertex], t)
+        V = a2 * T * T + a1 * T + a0 + inv2g * np.float_power(T - u[:, None], 2)
+        finite = np.isfinite(T)
+        best = np.where(finite, V, math.inf).min(axis=1)
+        tie = finite & (V <= (best + TIE_REL_TOL * (1.0 + np.abs(best)))[:, None])
+        # stable sort: equal values (0.0 and -0.0) keep the enumeration order
+        S = np.sort(np.where(tie, T, math.inf), axis=1, kind="stable")
+        S = S[:, :max(int(tie.sum(axis=1).max()), 1)]
+        # keep a value only if it clears the last *kept* one
+        last = S[:, 0]
+        for j in range(1, S.shape[1]):
+            c = S[:, j]
+            drop = ~(c - last > 1e-11 * (1.0 + np.abs(c)))
+            S[drop, j] = math.inf
+            last = np.where(drop, last, c)
+        S = np.sort(S, axis=1)
+        return S[:, :max(int(np.isfinite(S).sum(axis=1).max()), 1)]
 
     def _subdiff(self, theta, at_knot):
         s = at_knot.get(theta)
@@ -352,6 +465,9 @@ class ZeroPenalty(SeparablePenalty):
 
     def prox_scalar(self, u, gamma):
         return (float(u),)   # identity, bit-exact (PG must reduce to plain GD)
+
+    def _prox_array(self, u, gamma):
+        return u[:, None]    # the vertex formula (u/gamma)/(2 (0.5/gamma)) is not always u
 
     def to_json(self):
         return {"family": "zero"}

@@ -9,23 +9,13 @@ import numpy as np
 from .core import ConfigError, IterateTrace, NumericAbort, ProblemSpec, SolverConfig
 from .diagnostics import residual
 from .oracle import brute_force_scalar_min
-from .penalties import _scalar_prox_candidates, coordinate_sets_distance
+from .penalties import _scalar_prox_candidates, select_closest
 
 
-def _select_from_candidates(cands, ref):
-    """Closest candidate to ref; ties broken toward the smaller value."""
-    best = None
-    for c in sorted(cands):
-        d = abs(c - ref)
-        if best is None or d < best[0] - 1e-15:
-            best = (d, c)
-    return best[1]
-
-
-def _prox_sets(prob: ProblemSpec, gamma: float, x: np.ndarray):
-    """Per-coordinate argmin sets of Prox_g^gamma(x - gamma grad f(x))."""
+def _prox_step(prob: ProblemSpec, gamma: float, x: np.ndarray):
+    """(x^{k+1}, residual at x) from Prox_g^gamma(x - gamma grad f(x))."""
     u = x - gamma * prob.loss.gradient(x)
-    return prob.penalty.prox_coordinate_sets(u, gamma)
+    return prob.penalty.prox_step(x, u, gamma)
 
 
 def _guard_finite(prob, x, F):
@@ -50,19 +40,18 @@ def pg_solve(prob: ProblemSpec, cfg: SolverConfig, x0) -> IterateTrace:
     tr = IterateTrace(prob.n)
     F = prob.objective(x)
     _guard_finite(prob, x, F)
-    sets = _prox_sets(prob, cfg.gamma, x)
-    tr.append(x, F, coordinate_sets_distance(x, sets))
+    x_new, res = _prox_step(prob, cfg.gamma, x)
+    tr.append(x, F, res)
     for _ in range(cfg.max_iter):
-        x_new = np.array([_select_from_candidates(s, xi) for s, xi in zip(sets, x)])
         F = prob.objective(x_new)
         _guard_finite(prob, x_new, F)
         if cfg.lipschitz_box is not None and \
                 cfg.lipschitz_box.distance(x_new) > cfg.lipschitz_box.diameter():
             raise NumericAbort("iterate left the Lipschitz box by more than its diameter")
-        sets = _prox_sets(prob, cfg.gamma, x_new)
-        tr.append(x_new, F, coordinate_sets_distance(x_new, sets))
+        x_next, res = _prox_step(prob, cfg.gamma, x_new)
+        tr.append(x_new, F, res)
         step = float(np.linalg.norm(x_new - x))
-        x = x_new
+        x, x_new = x_new, x_next
         if step <= cfg.stop_tol:
             break
     return tr
@@ -79,7 +68,7 @@ def _f_prox_exact_separable(prob, gamma, xk):
         pieces = [(lo, hi, a2 + 0.5 * Q[i, i], a1 + q[i], a0)
                   for lo, hi, a2, a1, a0 in prob.penalty.pieces]
         cands, _ = _scalar_prox_candidates(pieces, float(xk[i]), gamma)
-        out[i] = _select_from_candidates(cands, float(xk[i]))
+        out[i] = select_closest(cands, float(xk[i]))
     return out
 
 
@@ -91,7 +80,7 @@ def _f_prox_oracle(prob, gamma, xk, window, grid=1e-6):
             return prob.loss.value_many(X) + prob.penalty.value_many(X) \
                 + (ts - xk[0]) ** 2 / (2.0 * gamma)
         pts, _, _ = brute_force_scalar_min(fn, xk[0] - window, xk[0] + window, grid)
-        return np.array([_select_from_candidates(pts, float(xk[0]))])
+        return np.array([select_closest(pts, float(xk[0]))])
     # n == 2: coarse grid then shrinking stencil refinement
     def fvec(X):
         return prob.loss.value_many(X) + prob.penalty.value_many(X) \

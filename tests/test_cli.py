@@ -217,3 +217,45 @@ def test_missing_input_file_exits_2(tmp_path, capsys, argv):
     argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def _solved_lasso(tmp_path, capsys):
+    """Problem, trace and point files of the README lasso."""
+    files = {"{ok}": write(tmp_path, "p.json", LASSO),
+             "{trace}": str(tmp_path / "t.csv"),
+             "{point}": write(tmp_path, "x.json", {"x": [3.0, 0.0]})}
+    assert main(["solve", "--problem", files["{ok}"], "--solver", "pg",
+                 "--gamma", "0.5", "--lipschitz", "1", "--max-iter", "60",
+                 "--out", files["{trace}"]]) == 0
+    capsys.readouterr()
+    return files
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "{ok}", "--solver", "pg", "--gamma", "0.5",
+     "--lipschitz", "1", "--out", "{unwritable}"],
+    ["solve", "--problem", "{ok}", "--solver", "pg", "--gamma", "0.5",
+     "--lipschitz", "1", "--out", "{trace}", "--summary", "{unwritable}"],
+    ["diagnose", "--trace", "{trace}", "--problem", "{ok}", "--gamma", "0.5",
+     "--probes", "5", "--out", "{unwritable}"],
+    ["certify", "--problem", "{ok}", "--point", "{point}", "--out", "{unwritable}"],
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    files = _solved_lasso(tmp_path, capsys)
+    files["{unwritable}"] = str(tmp_path / "no-such-dir" / "out")
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--problem", "{latin}", "--point", "{point}"],
+    ["diagnose", "--trace", "{trace}", "--problem", "{latin}", "--gamma", "0.5"],
+    ["oracle", "stationary-set", "--problem", "{latin}", "--box=-6,6"],
+])
+def test_problem_file_not_utf8_exits_2(tmp_path, capsys, argv):
+    files = _solved_lasso(tmp_path, capsys)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    files["{latin}"] = str(latin)
+    assert main([files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]) == 2
+    assert "not JSON" in capsys.readouterr().err

@@ -233,3 +233,44 @@ def test_luo_tseng_bound_implies_pointwise_residual_bound():
         x = x_bar + rng.uniform(-0.2, 0.2, size=2)
         r = residual(prob, x, gamma)
         assert distance_to_set(x, S) <= 1.05 * kappa_lt * r + 1e-9
+
+
+def _cost_to_go_reference(prob, trace, gamma, L, probes):
+    """verify_cost_to_go as a double loop over iterates and probes."""
+    k2 = kappa2(gamma, L)
+    probe_F = [prob.objective(x) for x in probes]
+    checked, violations = 0, []
+    for k in range(1, len(trace)):
+        xk1 = trace.points[k]
+        p2 = float(np.dot(trace.perturbations[k], trace.perturbations[k]))
+        tol = 1e-9 * (1.0 + abs(trace.objectives[k]))
+        for j, (x, Fx) in enumerate(zip(probes, probe_F)):
+            checked += 1
+            slack = (trace.objectives[k] - Fx) - k2 * (float(np.dot(x - xk1, x - xk1)) + p2)
+            if slack > tol:
+                violations.append((k, j, slack))
+    return checked, violations
+
+
+@pytest.mark.parametrize("n", [1, 3, 40])
+def test_cost_to_go_matches_the_double_loop(n):
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((2 * n, n))
+    prob = ProblemSpec(n, QuadraticLoss(A.T @ A / (2 * n), rng.standard_normal(n)),
+                       ScadPenalty(0.5, 3.7))
+    gamma, L = 0.4, 1.0
+    scale = kappa2(gamma, L) * 3.0 * n
+    tr = IterateTrace(n)
+    for _ in range(15):
+        # objectives inflated at random, so that some probes violate the inequality
+        x = rng.standard_normal(n)
+        tr.append(x, prob.objective(x) + scale * rng.uniform(0.0, 2.0), 0.0)
+    probes = [rng.standard_normal(n) for _ in range(25)]
+    rep = verify_cost_to_go(prob, tr, gamma, L, probes)
+    checked, violations = _cost_to_go_reference(prob, tr, gamma, L, probes)
+    assert 0 < len(violations) < checked
+    assert rep.checked == checked
+    assert [k for k, _ in rep.violations] == [k for k, _, _ in violations]
+    # the slacks come in probe order within each k
+    for (_, got), (_, _, want) in zip(rep.violations, violations):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
