@@ -256,7 +256,7 @@ def pdhg_solve(prob: SaddleProblem, tau: float, sigma: float, cfg: SolverConfig,
 
     Steps: x+ = Prox_phi1^tau(x - tau K^T y); y+ = Prox_phi2^sigma(y + sigma
     K (2x+ - x)).  In theory mode the step rule tau sigma ||K||^2 < 1 is
-    enforced (operator norm by power iteration).
+    enforced, with ||K|| from operator_norm's eigvalsh upper bound.
     """
     if tau <= 0 or sigma <= 0:
         raise ConfigError("step sizes must be positive")

@@ -61,7 +61,7 @@ def verify_cost_to_go(prob: ProblemSpec, trace: IterateTrace, gamma: float,
     k2 = kappa2(gamma, L)
     rep = InequalityReport("cost-to-go", k2, 0)
     probes = np.asarray(probe_points, dtype=float).reshape(-1, prob.n)
-    probe_F = np.array([prob.objective(x) for x in probes])
+    probe_F = prob.loss.value_many(probes) + prob.penalty.value_many(probes)
     # one iterate at a time: all at once would hold iterates x probes x n doubles
     for k in range(1, len(trace)):
         D = probes - trace.points[k]

@@ -104,6 +104,10 @@ class SmoothLoss:
     def gradient(self, x) -> np.ndarray:
         raise NotImplementedError
 
+    def value_and_gradient(self, x):
+        """(f(x), grad f(x)); families whose two share work override it."""
+        return self.value(x), self.gradient(x)
+
     def value_many(self, X) -> np.ndarray:
         return np.array([self.value(x) for x in np.atleast_2d(X)])
 
@@ -144,13 +148,20 @@ class QuadraticLoss(SmoothLoss):
         x = self._check(x)
         return self.Q @ x + self.q
 
+    def value_and_gradient(self, x):
+        """One product Q x serves both; the gradient is bit-identical to
+        gradient(x), the value agrees with value(x) to rounding."""
+        x = self._check(x)
+        y = self.Q @ x
+        return float(0.5 * (y @ x) + self.q @ x), y + self.q
+
     def hessian(self, x):
         self._check(x)
         return self.Q.copy()
 
     def value_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return 0.5 * np.einsum("ki,ij,kj->k", X, self.Q, X) + X @ self.q
+        return 0.5 * np.einsum("ij,ij->i", X @ self.Q, X) + X @ self.q
 
     def gradient_many(self, X):
         return np.atleast_2d(X) @ self.Q + self.q

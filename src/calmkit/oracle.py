@@ -111,7 +111,7 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
         window = 50.0 * (1.0 + abs(u))
 
     def fn(ts):
-        return penalty.scalar_value_array(ts) + (ts - u) ** 2 / (2.0 * gamma)
+        return penalty.value_many(ts[:, None]) + (ts - u) ** 2 / (2.0 * gamma)
 
     def fn_scalar(t):
         return penalty.scalar_value(t) + (t - u) ** 2 / (2.0 * gamma)

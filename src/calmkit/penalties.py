@@ -119,7 +119,8 @@ def _scalar_prox_candidates(pieces, u, gamma):
     inv2g = 0.5 / gamma
 
     def total(t, a2, a1, a0):
-        return a2 * t * t + a1 * t + a0 + inv2g * (t - u) ** 2
+        d = t - u
+        return a2 * t * t + a1 * t + a0 + inv2g * (d * d)
 
     cands = []
     for lo, hi, a2, a1, a0 in pieces:
@@ -228,7 +229,7 @@ class Penalty:
 
 def coordinate_sets_distance(x, sets) -> float:
     """Euclidean distance from x to the product of finite coordinate sets."""
-    return math.sqrt(_sum([min((xi - c) ** 2 for c in s)
+    return math.sqrt(_sum([min(d * d for d in (xi - c for c in s))
                            for xi, s in zip(x, sets)]))
 
 
@@ -300,26 +301,24 @@ class SeparablePenalty(Penalty):
                 return a2 * theta * theta + a1 * theta + a0
         return math.inf
 
-    def scalar_value_array(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        out = np.full(theta.shape, math.inf)
-        for lo, hi, a2, a1, a0 in self.pieces:
-            m = (theta >= lo) & (theta <= hi)
-            out[m] = a2 * theta[m] ** 2 + a1 * theta[m] + a0
-        return out
+    def _phi(self, theta):
+        """phi at every entry of theta, as scalar_value computes it: on the
+        first piece whose right end is at or after theta, +inf off the domain."""
+        j = np.searchsorted(self._his, theta)
+        a2, a1, a0 = self._coef[:, np.minimum(j, len(self.pieces) - 1)]
+        vals = a2 * theta * theta + a1 * theta + a0
+        return np.where((theta >= self._lo) & (j < len(self.pieces)), vals, math.inf)
 
     def value(self, x) -> float:
         theta = np.atleast_1d(np.asarray(x, dtype=float))
         if theta.size < ARRAY_MIN_N:
             return _sum([self.scalar_value(float(t)) for t in theta])
-        j = np.searchsorted(self._his, theta)
-        a2, a1, a0 = self._coef[:, np.minimum(j, len(self.pieces) - 1)]
-        vals = a2 * theta * theta + a1 * theta + a0
-        return _sum(np.where((theta >= self._lo) & (j < len(self.pieces)), vals, math.inf))
+        return _sum(self._phi(theta))
 
     def value_many(self, X):
+        """value of each row of X, bit-identical to value(X[i])."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.sum(self.scalar_value_array(X), axis=1)
+        return np.add.accumulate(self._phi(X), axis=1)[:, -1]
 
     def prox_scalar(self, u: float, gamma: float):
         return _scalar_prox_candidates(self.pieces, float(u), gamma)[0]
@@ -345,8 +344,8 @@ class SeparablePenalty(Penalty):
             closer = d < best - 1e-15
             x_next[closer] = c[closer]
             best[closer] = d[closer]
-        # Python's float ** (C pow), as coordinate_sets_distance squares
-        sq = np.float_power(x[:, None] - P, 2).min(axis=1)
+        D = x[:, None] - P
+        sq = (D * D).min(axis=1)
         return x_next, math.sqrt(_sum(sq))
 
     def _prox_array(self, u, gamma):
@@ -368,7 +367,8 @@ class SeparablePenalty(Penalty):
         # Python's min(max(t, lo), hi), which keeps t (and its signed zero) on a tie
         t = np.where(lo[vertex] > t, lo[vertex], t)
         T[:, vertex] = np.where(hi[vertex] < t, hi[vertex], t)
-        V = a2 * T * T + a1 * T + a0 + inv2g * np.float_power(T - u[:, None], 2)
+        D = T - u[:, None]
+        V = a2 * T * T + a1 * T + a0 + inv2g * (D * D)
         finite = np.isfinite(T)
         best = np.where(finite, V, math.inf).min(axis=1)
         tie = finite & (V <= (best + TIE_REL_TOL * (1.0 + np.abs(best)))[:, None])

@@ -12,10 +12,10 @@ from .oracle import brute_force_scalar_min
 from .penalties import _scalar_prox_candidates, select_closest
 
 
-def _prox_step(prob: ProblemSpec, gamma: float, x: np.ndarray):
-    """(x^{k+1}, residual at x) from Prox_g^gamma(x - gamma grad f(x))."""
-    u = x - gamma * prob.loss.gradient(x)
-    return prob.penalty.prox_step(x, u, gamma)
+def _objective_and_gradient(prob: ProblemSpec, x: np.ndarray):
+    """(F(x), grad f(x)) from one loss evaluation."""
+    f, grad = prob.loss.value_and_gradient(x)
+    return f + prob.penalty.value(x), grad
 
 
 def _guard_finite(prob, x, F):
@@ -31,24 +31,25 @@ def pg_solve(prob: ProblemSpec, cfg: SolverConfig, x0) -> IterateTrace:
     deterministic.  Stops when ||x^{k+1} - x^k|| <= stop_tol.
 
     One prox evaluation per iterate serves both its residual
-    dist(x^k, Prox(u^k)) and the step that leaves it.
+    dist(x^k, Prox(u^k)) and the step that leaves it, and one loss
+    evaluation both F(x^k) and the gradient in u^k.
     """
     cfg.validate(prob)
     x = np.array(x0, dtype=float)
     if x.shape != (prob.n,):
         raise ConfigError("x0 has wrong dimension")
     tr = IterateTrace(prob.n)
-    F = prob.objective(x)
+    F, grad = _objective_and_gradient(prob, x)
     _guard_finite(prob, x, F)
-    x_new, res = _prox_step(prob, cfg.gamma, x)
+    x_new, res = prob.penalty.prox_step(x, x - cfg.gamma * grad, cfg.gamma)
     tr.append(x, F, res)
     for _ in range(cfg.max_iter):
-        F = prob.objective(x_new)
+        F, grad = _objective_and_gradient(prob, x_new)
         _guard_finite(prob, x_new, F)
         if cfg.lipschitz_box is not None and \
                 cfg.lipschitz_box.distance(x_new) > cfg.lipschitz_box.diameter():
             raise NumericAbort("iterate left the Lipschitz box by more than its diameter")
-        x_next, res = _prox_step(prob, cfg.gamma, x_new)
+        x_next, res = prob.penalty.prox_step(x_new, x_new - cfg.gamma * grad, cfg.gamma)
         tr.append(x_new, F, res)
         step = float(np.linalg.norm(x_new - x))
         x, x_new = x_new, x_next

@@ -177,3 +177,30 @@ def test_vectorized_paths_agree():
         for i, x in enumerate(X):
             assert vals[i] == pytest.approx(loss.value(x), rel=1e-12, abs=1e-12)
             assert np.allclose(grads[i], loss.gradient(x), atol=1e-12)
+
+
+def test_value_and_gradient_is_value_and_gradient():
+    losses = sample_losses()
+    assert len({loss.family for loss in losses}) == 5
+    for loss in losses:
+        for _ in range(20):
+            x = RNG.normal(size=loss.n)
+            f, g = loss.value_and_gradient(x)
+            assert isinstance(f, float)
+            assert g.tobytes() == loss.gradient(x).tobytes()
+            if loss.family == "quadratic":   # Q x shared: F rounds differently
+                assert f == pytest.approx(loss.value(x), rel=1e-14, abs=1e-300)
+            else:
+                assert f == loss.value(x)
+
+
+def test_quadratic_value_many_is_value():
+    rng = np.random.default_rng(5)
+    n = 60
+    A = rng.standard_normal((n, n))
+    loss = QuadraticLoss(A + A.T, rng.standard_normal(n))
+    X = rng.standard_normal((100, n))
+    vals = loss.value_many(X)
+    assert vals.shape == (100,)
+    for v, x in zip(vals, X):
+        assert v == pytest.approx(loss.value(x), rel=1e-14)

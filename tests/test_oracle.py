@@ -8,7 +8,7 @@ from calmkit.losses import QuadraticLoss
 from calmkit.oracle import (OracleError, brute_force_prox, brute_force_scalar_min,
                             brute_force_set_valued_solve,
                             brute_force_stationary_set)
-from calmkit.penalties import (L1Penalty, NegAbsPenalty, ScadPenalty,
+from calmkit.penalties import (BoxIndicator, L1Penalty, NegAbsPenalty, ScadPenalty,
                                ZeroPenalty)
 
 
@@ -47,16 +47,9 @@ def test_prox_oracle_window_expansion():
 
 
 def test_prox_oracle_window_exhaustion_raises():
-    class FarBox(ZeroPenalty):
-        def scalar_value_array(self, t):
-            t = np.asarray(t, dtype=float)
-            return np.where(np.abs(t - 100.0) <= 0.5, 0.0, math.inf)
-
-        def breakpoints(self):
-            return [99.5, 100.5]
-
+    # the penalty is finite only on [99.5, 100.5], far outside both windows
     with pytest.raises(OracleError):
-        brute_force_prox(FarBox(), 0.0, 1.0, window=1.0, grid=1e-3)
+        brute_force_prox(BoxIndicator(99.5, 100.5), 0.0, 1.0, window=1.0, grid=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,32 @@ def test_constructed_ties_both_paths_agree(g, gamma, monkeypatch):
         assert sum(len(s) == 2 for s in sets) >= 2       # a two-point set at each jump
 
 
+@pytest.mark.parametrize("g", FAMILIES, ids=IDS)
+def test_value_many_rows_are_value(g):
+    rng = np.random.default_rng(7)
+    knots = np.array(g.breakpoints() or [0.0])
+    for n in (penalties.ARRAY_MIN_N - 1, penalties.ARRAY_MIN_N + 1):
+        X = rng.uniform(-5.0, 5.0, (2500 // n + 1, n))
+        X.flat[::3] = rng.choice(knots, X.flat[::3].size)   # on the pieces' ends
+        assert _bits(g.value_many(X)) == _bits([g.value(x) for x in X])
+
+
+@pytest.mark.parametrize("g", FAMILIES, ids=IDS)
+def test_overflowing_prox_objective_gives_the_same_sets_on_both_paths(g):
+    # every candidate's (t - u)^2 / (2 gamma) leaves the float range
+    for big in (1e200, -1e200):
+        out = []
+        for n in (1, penalties.ARRAY_MIN_N):
+            u = np.full(n, big)
+            with np.errstate(over="ignore"):
+                sets = g.prox_coordinate_sets(u, 1.0)
+                x_next, _dist = g.prox_step(np.zeros(n), u, 1.0)
+            out.append((_bits(sets[0]), _bits(x_next[:1])))
+            if g.family != "box-indicator":   # in a box every candidate overflows
+                assert sets == [(big,)] * n and _bits(x_next) == _bits(u)
+        assert out[0] == out[1]
+
+
 def test_zero_penalty_is_the_identity_on_the_array_path():
     u = np.random.default_rng(3).standard_normal(1000) * 10.0
     assert u.size >= penalties.ARRAY_MIN_N
@@ -153,3 +179,9 @@ def test_pg_traces_identical_on_both_paths(g, monkeypatch):
     assert traces[0] == traces[1]
     points, residuals = _reference_pg(prob, cfg.gamma, x0, len(tr))
     assert traces[0][0] == _bits(points) and traces[0][2] == _bits(residuals)
+    # F shares the gradient's product Q x, so it rounds apart from objective()
+    # by a few ulps of its terms
+    Q, q = prob.loss.Q, prob.loss.q
+    for F, p in zip(tr.objectives, points):
+        terms = abs(0.5 * p @ Q @ p) + abs(q @ p) + abs(g.value(p))
+        assert abs(F - prob.objective(p)) <= 1e-14 * terms

@@ -111,6 +111,14 @@ def test_pg_aborts_outside_lipschitz_box():
         pg_solve(prob, cfg, np.array([0.0]))  # exp(-x) drives x off to +inf
 
 
+def test_pg_aborts_on_non_finite_objective():
+    # x^k = 1.9^k 1e150 until F = -x^2 / 2 overflows to -inf
+    prob = ProblemSpec(1, QuadraticLoss([[-1.0]], [0.0]), ZeroPenalty())
+    cfg = SolverConfig(gamma=0.9, max_iter=100, stop_tol=0.0, lipschitz_L=1.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericAbort, match="non-finite objective"):
+        pg_solve(prob, cfg, np.array([1e150]))
+
+
 def test_pg_requires_theory_gamma():
     with pytest.raises(ConfigError):
         pg_solve(lasso2(), SolverConfig(gamma=2.0, max_iter=5, lipschitz_L=1.0),
