@@ -1,6 +1,13 @@
 """Brute-force ground truth: scalar global minimization, stationary sets,
 and perturbed stationary-set solves on boxes (n <= 2).
 
+The stationary-set scans split the box into a grid of cells.  A vectorized
+hull test keeps the cells that may hold a solution; in each kept cell every
+combination of per-coordinate options (a penalty piece, where the inclusion
+is an equation, or a breakpoint, where the coordinate is fixed) is solved
+once, and a root counts only if it lies in the closed cell and passes the
+exact membership residual.
+
 Every derived expected value in the test suite traces back to these
 routines, which never share code paths with the analytic implementations
 they check.
@@ -8,9 +15,11 @@ they check.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -130,12 +139,6 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
 # ---------------------------------------------------------------------------
 # stationary sets and perturbed solves on boxes (n <= 2)
 
-def _grid_centers(box_lo, box_hi, cells):
-    axes = [np.linspace(lo + (hi - lo) / (2 * cells), hi - (hi - lo) / (2 * cells), cells)
-            for lo, hi in zip(box_lo, box_hi)]
-    return axes
-
-
 def _cartesian(axes):
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -148,67 +151,50 @@ def _exact_residual(penalty, target, x, limiting=False):
     return max(sd(float(xi)).distance(float(ti)) for xi, ti in zip(x, t))
 
 
-def _refine_candidate(penalty, target, center, radius, limiting, accept_tol):
-    """Shrinking stencil descent on the membership residual, to radius 1e-8.
+def _cell_options(penalty, lo, hi):
+    """One coordinate's options on the closed cell side [lo, hi].
 
-    The residual can dip discontinuously exactly on kink hyperplanes (the
-    subdifferential widens only there), so every stencil round also probes
-    coordinates snapped onto breakpoints within the current radius.
-    Acceptance is decided by the snap stage afterwards.
+    A piece (plo, phi, a2, a1) whose open interval meets the side makes the
+    inclusion the equation target_i(x) = 2 a2 x_i + a1; a breakpoint t on
+    the side fixes x_i = t and leaves membership to the exact residual.
     """
-    import itertools as _it
-    n = len(center)
-    bps = penalty.breakpoints()
-    x = np.array(center, dtype=float)
-    r = radius
-    best = _exact_residual(penalty, target, x, limiting)
-    for _ in range(4000):
-        if r <= 1e-8:
-            break
-        axis_cands = []
-        for i in range(n):
-            vals = [x[i] - r, x[i], x[i] + r]
-            vals.extend(b for b in bps if abs(b - x[i]) <= r)
-            axis_cands.append(vals)
-        improved = False
-        for c in _it.product(*axis_cands):
-            v = _exact_residual(penalty, target, np.array(c), limiting)
-            if v < best:
-                best = v
-                x = np.array(c)
-                improved = True
-        if not improved:
-            r *= 0.5
-    return x, best
+    opts = [(plo, phi, a2, a1) for plo, phi, a2, a1, _a0 in penalty.pieces
+            if plo < hi and phi > lo]
+    return opts + [t for t in penalty.breakpoints() if lo <= t <= hi]
 
 
-def _snap_and_accept(penalty, target, x, res, limiting, accept_tol, lip,
-                     snap_radius=1e-6):
-    """Kink-aware acceptance of a refined candidate.
+def _strictly_inside(t, lo, hi):
+    """t lies in (lo, hi), farther than 1e-12 (1 + |end|) from each finite end."""
+    return ((math.isinf(lo) or t - lo > 1e-12 * (1.0 + abs(lo)))
+            and (math.isinf(hi) or hi - t > 1e-12 * (1.0 + abs(hi))))
 
-    Membership residuals can vanish in the limit toward a breakpoint whose
-    own subdifferential excludes the target (the downward kink); candidates
-    that collapsed onto a breakpoint are therefore re-tested exactly at it
-    and discarded when the breakpoint fails.
-    """
-    bps = penalty.breakpoints()
-    snapped = np.array(x, dtype=float)
-    moved = 0.0
-    for i, xi in enumerate(x):
-        for b in bps:
-            if abs(xi - b) <= snap_radius:
-                snapped[i] = b
-                moved = max(moved, abs(xi - b))
-                break
-    if moved > 0.0:
-        res_s = _exact_residual(penalty, target, snapped, limiting)
-        if res_s <= accept_tol + 4.0 * (lip + 1.0) * moved:
-            return snapped, res_s
-        if moved <= 1e-7:
-            return None, res     # collapsed onto an inadmissible breakpoint
-    if res <= accept_tol:
-        return np.array(x, dtype=float), res
-    return None, res
+
+def _solve_in_cell(penalty, target, lo, hi, limiting, accept_tol):
+    """Every solution in the closed cell [lo, hi]: one root solve per
+    combination of the coordinates' options, started at the cell centre."""
+    found = []
+    options = [_cell_options(penalty, a, b) for a, b in zip(lo, hi)]
+    for combo in itertools.product(*options):
+        free = [i for i, o in enumerate(combo) if isinstance(o, tuple)]
+        x = np.array([0.5 * (a + b) if isinstance(o, tuple) else o
+                      for a, b, o in zip(lo, hi, combo)])
+        if free:
+            a2, a1 = (np.array([combo[i][k] for i in free]) for k in (2, 3))
+
+            def equations(z):
+                y = x.copy()
+                y[free] = z
+                return target(y[None, :])[0][free] - (2.0 * a2 * z + a1)
+
+            x[free] = least_squares(equations, x[free], method="lm").x
+        if not (np.all(lo <= x) and np.all(x <= hi)):
+            continue
+        if not all(_strictly_inside(x[i], *combo[i][:2]) for i in free):
+            continue   # a root at a piece end is its breakpoint option's to accept
+        res = _exact_residual(penalty, target, x, limiting)
+        if res <= accept_tol:
+            found.append((x, res))
+    return found
 
 
 def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
@@ -217,14 +203,16 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
 
     target maps an (N, n) array of points to an (N, n) array of required
     subgradient values.  Candidate cells come from a vectorized hull test
-    with a Lipschitz margin; each candidate is refined by shrinking stencil
-    descent on the exact residual.
+    with a Lipschitz margin; in each candidate cell every combination of
+    per-coordinate pieces and breakpoints is solved exactly, and a root is
+    kept when it lies in the closed cell and passes the exact residual.
     """
     penalty = prob.penalty
     if not penalty.separable:
         raise OracleError("membership scan needs a separable penalty")
     n = len(box_lo)
-    axes = _grid_centers(box_lo, box_hi, cells)
+    # one edge array per axis, so neighbouring cells share their edge floats
+    edges = [np.linspace(lo, hi, cells + 1) for lo, hi in zip(box_lo, box_hi)]
     half = [(hi - lo) / (2 * cells) for lo, hi in zip(box_lo, box_hi)]
     cell_radius = math.sqrt(sum(h * h for h in half))
     margin = lip_bound * cell_radius * 1.05 + 1e-12
@@ -233,14 +221,15 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
     # inclusion test is padded so breakpoints on shared cell edges count
     # for both neighbors)
     hulls = []
-    for ax, h in zip(axes, half):
-        probes = [ax - h, ax, ax + h]
+    for e, h in zip(edges, half):
+        left, right = e[:-1], e[1:]
+        mid = 0.5 * (left + right)
+        probes = [left, mid, right]
         for b in penalty.breakpoints():
             pad = 1e-9 * (1.0 + abs(b)) + 1e-6 * h
-            inside = (ax - h - pad <= b) & (b <= ax + h + pad)
+            inside = (left - pad <= b) & (b <= right + pad)
             for off in (-1e-3 * h, 0.0, 1e-3 * h):
-                pt = np.where(inside, b + off, ax)
-                probes.append(pt)
+                probes.append(np.where(inside, b + off, mid))
         los, his = [], []
         for pvec in probes:
             lo_b, hi_b = penalty.subdiff_bounds_array(pvec, limiting)
@@ -248,26 +237,23 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
             his.append(hi_b)
         hulls.append((np.min(np.stack(los), axis=0), np.max(np.stack(his), axis=0)))
 
-    X = _cartesian(axes)
+    X = _cartesian([0.5 * (e[:-1] + e[1:]) for e in edges])
     T = target(X)
-    shape = tuple(len(a) for a in axes)
+    shape = (cells,) * n
     keep = np.ones(X.shape[0], dtype=bool)
     for i in range(n):
         lo_h, hi_h = hulls[i]
         idx = np.unravel_index(np.arange(X.shape[0]), shape)[i]
         keep &= (T[:, i] + margin >= lo_h[idx]) & (T[:, i] - margin <= hi_h[idx])
-    centers = X[keep]
 
     results, discarded = [], 0
-    for c in centers:
-        x, res = _refine_candidate(penalty, target, c, cell_radius, limiting,
-                                   accept_tol)
-        x, res = _snap_and_accept(penalty, target, x, res, limiting,
-                                  accept_tol, lip_bound)
-        if x is not None:
-            results.append((x, res))
-        else:
-            discarded += 1
+    for k in np.flatnonzero(keep):
+        cell = np.unravel_index(k, shape)
+        lo = np.array([e[j] for e, j in zip(edges, cell)])
+        hi = np.array([e[j + 1] for e, j in zip(edges, cell)])
+        found = _solve_in_cell(penalty, target, lo, hi, limiting, accept_tol)
+        results += found
+        discarded += not found
 
     if dedup_radius is None:
         dedup_radius = 2.0 * cell_radius
@@ -279,8 +265,8 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
     points.sort(key=tuple)
     warnings = []
     if discarded:
-        warnings.append("%d candidate cells discarded (residual above %g "
-                        "after refinement to radius 1e-8)" % (discarded, accept_tol))
+        warnings.append("%d candidate cells discarded (no solution in the cell "
+                        "with residual at most %g)" % (discarded, accept_tol))
     for p in points:
         if any(p[i] <= box_lo[i] + 2 * half[i] or p[i] >= box_hi[i] - 2 * half[i]
                for i in range(n)):

@@ -134,6 +134,11 @@ def _scalar_prox_candidates(pieces, u, gamma):
             if math.isfinite(t):
                 cands.append((t, total(t, a2, a1, a0)))
     best = min(v for _, v in cands)
+    if best == math.inf:
+        # every value overflowed: the quadratic term dominates, so the
+        # candidate nearest u wins
+        ts = [t for t, _ in cands]
+        return ((max(ts) if u > 0 else min(ts)),), best
     tol = TIE_REL_TOL * (1.0 + abs(best))
     mins = sorted(t for t, v in cands if v <= best + tol)
     out = []
@@ -372,6 +377,12 @@ class SeparablePenalty(Penalty):
         finite = np.isfinite(T)
         best = np.where(finite, V, math.inf).min(axis=1)
         tie = finite & (V <= (best + TIE_REL_TOL * (1.0 + np.abs(best)))[:, None])
+        over = (best == math.inf) & finite.any(axis=1)
+        if over.any():
+            # as in _scalar_prox_candidates: the candidate nearest u wins
+            Tf = np.where(finite, T, math.nan)[over]
+            near = np.where(u[over] > 0, np.nanmax(Tf, axis=1), np.nanmin(Tf, axis=1))
+            tie[over] = Tf == near[:, None]
         # stable sort: equal values (0.0 and -0.0) keep the enumeration order
         S = np.sort(np.where(tie, T, math.inf), axis=1, kind="stable")
         S = S[:, :max(int(tie.sum(axis=1).max()), 1)]

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from calmkit import instances
 from calmkit.core import ProblemSpec
 from calmkit.losses import QuadraticLoss
 from calmkit.oracle import (OracleError, brute_force_prox, brute_force_scalar_min,
                             brute_force_set_valued_solve,
                             brute_force_stationary_set)
-from calmkit.penalties import (BoxIndicator, L1Penalty, NegAbsPenalty, ScadPenalty,
-                               ZeroPenalty)
+from calmkit.penalties import (BoxIndicator, L1Penalty, McpPenalty, NegAbsPenalty,
+                               ScadPenalty, ZeroPenalty)
 
 
 def test_scalar_min_quadratic():
@@ -148,3 +149,106 @@ def test_quadratic_l1_solutions_within_kappa_p():
         for x in sols:
             # identity Hessian polyhedral instance: kappa = 1
             assert np.linalg.norm(x - [3.0, 0.0]) <= np.linalg.norm(p) * (1 + 1e-6) + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# exact solves inside each candidate cell
+
+def _inside(points, lo, hi):
+    P = np.asarray(points, dtype=float).reshape(-1, len(lo))
+    return bool(np.all((P >= lo) & (P <= hi)))
+
+
+def _nearest(points, x):
+    P = np.asarray(points, dtype=float).reshape(-1, len(x))
+    return np.min(np.linalg.norm(P - x, axis=1), initial=np.inf)
+
+
+def test_coarse_grid_keeps_points_in_the_box_and_finds_case_iii():
+    # at cells=8 each cell is half a unit wide, and root solves started in
+    # edge cells converge to points outside the box
+    case = instances.scad_case_iii()
+    lo, hi = case.z_bar - 2.0, case.z_bar + 2.0
+    S = brute_force_stationary_set(case.prob, (lo, hi), cells=8)
+    assert _inside(S.points, lo, hi)
+    assert _nearest(S.points, case.z_bar) <= 1e-6
+
+
+@pytest.mark.parametrize("cells", [200, 400])
+def test_quadratic_mcp_point_is_not_discarded(cells):
+    # the only stationary point in [-6, 6]^2 sits on the slanted MCP pieces,
+    # where (Q - I/a) x = -q - lam s with signs s = (-1, 1)
+    Q = np.array([[0.7848, 0.4799], [0.4799, 1.9193]])
+    q = np.array([0.2076, -0.3004])
+    lam, a = 0.2, 2.5
+    prob = ProblemSpec(2, QuadraticLoss(Q, q), McpPenalty(lam, a))
+    x_star = np.linalg.solve(Q - np.eye(2) / a, -q - lam * np.array([-1.0, 1.0]))
+    lo, hi = np.full(2, -6.0), np.full(2, 6.0)
+    S = brute_force_stationary_set(prob, (lo, hi), cells=cells)
+    assert _inside(S.points, lo, hi)
+    assert _nearest(S.points, x_star) <= 1e-6
+
+
+def test_double_root_on_a_cell_edge_is_found():
+    # case-ii-degenerate's z_bar solves its slanted-branch equation with
+    # multiplicity two, and at cells=120 it lies on the edge shared by two cells
+    case = instances.scad_case_ii(degenerate=True)
+    lo, hi = case.z_bar - 0.2, case.z_bar + 0.2
+    S = brute_force_stationary_set(case.prob, (lo, hi), cells=120)
+    assert _inside(S.points, lo, hi)
+    assert _nearest(S.points, case.z_bar) <= 1e-6
+
+
+@pytest.mark.parametrize("lam,q12,x2", [(0.3, 0.1, 0.7), (0.5, 0.45, -0.9)])
+def test_piece_root_on_a_concave_kink_is_limiting_only(lam, q12, x2):
+    # (0, x2) solves the right-piece equations of coordinate 1, but x1 = 0 is
+    # negabs' downward kink; the piece solve lands within 1e-16 of it
+    Q = np.array([[2.0, q12], [q12, 1.0]])
+    q = np.array([lam - q12 * x2, lam * np.sign(x2) - x2])
+    prob = ProblemSpec(2, QuadraticLoss(Q, q), NegAbsPenalty(lam))
+    box = (np.full(2, -2.0), np.full(2, 2.0))
+    z = np.array([0.0, x2])
+    assert _nearest(brute_force_stationary_set(prob, box, cells=40).points, z) > 1e-3
+    Sl = brute_force_stationary_set(prob, box, cells=40, limiting=True)
+    assert _nearest(Sl.points, z) <= 1e-9
+
+
+ORACLE_PENALTIES = {"l1": L1Penalty(0.5), "scad": ScadPenalty(0.5, 3.0),
+                    "mcp": McpPenalty(0.6, 2.0), "negabs": NegAbsPenalty(0.4),
+                    "box": BoxIndicator(-1.0, 1.5)}
+
+
+@pytest.mark.parametrize("cells", [8, 16, 60])
+@pytest.mark.parametrize("fam", sorted(ORACLE_PENALTIES))
+def test_every_returned_point_is_in_the_box_and_solves_its_inclusion(fam, cells):
+    rng = np.random.default_rng(cells + 1000 * sorted(ORACLE_PENALTIES).index(fam))
+    g = ORACLE_PENALTIES[fam]
+    found = 0
+    for _ in range(3):
+        A = rng.normal(size=(2, 2))
+        prob = ProblemSpec(2, QuadraticLoss(0.5 * (A + A.T) + np.eye(2),
+                                            rng.normal(scale=0.7, size=2)), g)
+        lo = rng.uniform(-3.5, -2.5, size=2)
+        hi = rng.uniform(2.5, 3.5, size=2)
+        for limiting in (False, True):
+            S = brute_force_stationary_set(prob, (lo, hi), cells=cells,
+                                           limiting=limiting)
+            assert _inside(S.points, lo, hi)
+            found += len(S.points)
+            for x in S.points:
+                v = -prob.loss.gradient(x)
+                assert np.max(g.subdiff_distances(x, v, limiting)) <= 1e-7
+        gamma = 0.5
+        for map_kind in ("S_cano", "S_PG"):
+            p = rng.uniform(-0.1, 0.1, size=2)
+            sols = brute_force_set_valued_solve(prob, map_kind, p, (lo, hi),
+                                                gamma=gamma, cells=cells)
+            assert _inside(sols, lo, hi)
+            found += len(sols)
+            for x in sols:
+                if map_kind == "S_cano":
+                    v = p - prob.loss.gradient(x)
+                else:
+                    v = p / gamma - prob.loss.gradient(x + p)
+                assert np.max(g.subdiff_distances(x, v)) <= 1e-7
+    assert found > 0
