@@ -11,10 +11,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import ConfigError, NumericAbort, SolverConfig
 from .losses import Box, operator_norm
-from .penalties import Penalty, penalty_from_json
+from .penalties import Penalty, _sum, penalty_from_json
 
 CONVEX_FAMILIES = ("l1", "group-lasso", "box-indicator", "zero")
 
@@ -32,8 +33,9 @@ class ConvexTerm:
             self.q = np.asarray(q, dtype=float)
             if self.Q.shape != (n, n) or self.q.shape != (n,):
                 raise ConfigError("quadratic term has wrong dimensions")
-            if np.min(np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T))) < -1e-10:
-                raise ConfigError("quadratic term must be positive semidefinite")
+            if (not np.allclose(self.Q, self.Q.T, atol=1e-12)
+                    or np.min(np.linalg.eigvalsh(self.Q)) < -1e-10):
+                raise ConfigError("quadratic term must be symmetric positive semidefinite")
             self.kind = "quadratic"
             self.penalty = None
         else:
@@ -44,31 +46,12 @@ class ConvexTerm:
             self.kind = penalty.family
             self.Q = None
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            return float(0.5 * x @ self.Q @ x + self.q @ x)
-        return self.penalty.value(x)
-
-    def prox(self, u, gamma) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.kind == "quadratic":
-            return np.linalg.solve(np.eye(self.n) + gamma * self.Q, u - gamma * self.q)
-        res = self.penalty.prox(u, gamma)
-        return np.asarray(res.minimizers[0], dtype=float)
-
     def subdiff_distance(self, x, v, box: Box | None = None) -> float:
         """dist(v, d theta(x) + N_box(x)); box=None means the full space."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if self.kind == "quadratic":
-            lo = hi = self.Q @ x + self.q
-        elif self.penalty.separable:
-            lo, hi = self.penalty.subdiff_bounds_array(x)
-        elif box is None:
+        if self.penalty is not None:
             return float(np.linalg.norm(self.penalty.subdiff_distances(x, v)))
-        else:
-            raise ConfigError("group-lasso term with a box set is unsupported")
+        x = np.asarray(x, dtype=float)
+        lo = hi = self.Q @ x + self.q
         if box is not None:
             lo = lo + np.where(x <= box.lo + 1e-12, -math.inf, 0.0)
             hi = hi + np.where(x >= box.hi - 1e-12, math.inf, 0.0)
@@ -149,7 +132,7 @@ class KKTTrace:
         p = self.perturbations[k]
         if p is None:
             return 0.0
-        return math.sqrt(sum(float(np.dot(v, v)) for v in p))
+        return math.sqrt(_sum([float(np.dot(v, v)) for v in p]))
 
     def pnorms(self):
         return np.array([self.pnorm(k) for k in range(len(self))])
@@ -174,9 +157,9 @@ class KKTTrace:
 def _x_step_solver(term: ConvexTerm, M, box):
     """Return a solver for argmin term(x) + 0.5 x^T M x - rhs^T x on the set.
 
-    M is the quadratic form collected from beta A^T A + D; solvable
-    configurations: quadratic term (direct solve; diagonal M for boxes) or
-    a prox-capable term with M proportional to the identity.
+    M is beta A^T A + D for an ADMM block and I/tau for a PDHG step; solvable
+    configurations: quadratic term (M + Q factored once; diagonal for boxes)
+    or a penalty term with M = tau I (one prox_step, never with a box).
     """
     n = term.n
     if term.kind == "quadratic":
@@ -184,7 +167,8 @@ def _x_step_solver(term: ConvexTerm, M, box):
         if box is None:
             if np.linalg.matrix_rank(Mq) < n:
                 raise ConfigError("singular subproblem; add a proximal weight D")
-            return lambda rhs: np.linalg.solve(Mq, rhs - term.q)
+            lu = scipy.linalg.lu_factor(Mq)
+            return lambda rhs: scipy.linalg.lu_solve(lu, rhs - term.q)
         if not np.allclose(Mq, np.diag(np.diag(Mq)), atol=1e-12):
             raise ConfigError("box-constrained quadratic step needs a diagonal form")
         dq = np.diag(Mq)
@@ -197,7 +181,7 @@ def _x_step_solver(term: ConvexTerm, M, box):
             "prox step for %r needs beta A^T A + D = tau I (linearized ADMM)" % term.kind)
     if box is not None:
         raise ConfigError("penalty term combined with an extra box set is unsupported")
-    return lambda rhs: term.prox(rhs / tau, 1.0 / tau)
+    return lambda rhs: term.penalty.prox_step(rhs / tau, rhs / tau, 1.0 / tau)[0]
 
 
 def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
@@ -212,12 +196,14 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
     """
     if beta <= 0:
         raise ConfigError("beta must be positive")
+    cfg.validate_iterations()
     A, B, b = prob.A, prob.B, prob.b
     n1, n2 = prob.theta1.n, prob.theta2.n
     D1 = np.zeros((n1, n1)) if D1 is None else np.asarray(D1, dtype=float)
     D2 = np.zeros((n2, n2)) if D2 is None else np.asarray(D2, dtype=float)
     for D, n in ((D1, n1), (D2, n2)):
-        if D.shape != (n, n) or np.min(np.linalg.eigvalsh(0.5 * (D + D.T))) < -1e-9:
+        if (D.shape != (n, n) or not np.allclose(D, D.T, atol=1e-12)
+                or np.min(np.linalg.eigvalsh(D)) < -1e-9):
             raise ConfigError("proximal weights must be symmetric PSD")
     x_solve = _x_step_solver(prob.theta1, beta * A.T @ A + D1, prob.X)
     y_solve = _x_step_solver(prob.theta2, beta * B.T @ B + D2, prob.Y)
@@ -255,23 +241,27 @@ def pdhg_solve(prob: SaddleProblem, tau: float, sigma: float, cfg: SolverConfig,
     """Primal-dual hybrid gradient with the optimality-inclusion check.
 
     Steps: x+ = Prox_phi1^tau(x - tau K^T y); y+ = Prox_phi2^sigma(y + sigma
-    K (2x+ - x)).  In theory mode the step rule tau sigma ||K||^2 < 1 is
-    enforced, with ||K|| from operator_norm's eigvalsh upper bound.
+    K (2x+ - x)), each an _x_step_solver step with M = I/tau, rhs = v/tau.
+    In theory mode the step rule tau sigma ||K||^2 < 1 is enforced, with
+    ||K|| from operator_norm's eigvalsh upper bound.
     """
     if tau <= 0 or sigma <= 0:
         raise ConfigError("step sizes must be positive")
+    cfg.validate_iterations()
     K = prob.K
     if theory_mode:
         nk = operator_norm(K)
         if not tau * sigma * nk * nk < 1.0:
             raise ConfigError("step condition tau*sigma*||K||^2 < 1 violated "
                               "(value %.6g)" % (tau * sigma * nk * nk))
+    x_solve = _x_step_solver(prob.phi1, np.eye(prob.phi1.n) / tau, None)
+    y_solve = _x_step_solver(prob.phi2, np.eye(prob.phi2.n) / sigma, None)
     x, y = (np.array(v, dtype=float) for v in start)
     tr = KKTTrace(("x", "y"), check_tol)
     tr.append((x, y))
     for _ in range(cfg.max_iter):
-        x_new = prob.phi1.prox(x - tau * (K.T @ y), tau)
-        y_new = prob.phi2.prox(y + sigma * (K @ (2.0 * x_new - x)), sigma)
+        x_new = x_solve((x - tau * (K.T @ y)) / tau)
+        y_new = y_solve((y + sigma * (K @ (2.0 * x_new - x))) / sigma)
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
             raise NumericAbort("non-finite PDHG iterate")
         p = (x - x_new, y - y_new)

@@ -57,10 +57,7 @@ class SolverConfig:
     def validate(self, prob: ProblemSpec | None = None):
         if self.gamma <= 0:
             raise ConfigError("step size gamma must be positive")
-        if self.max_iter <= 0:
-            raise ConfigError("max_iter must be positive")
-        if self.stop_tol < 0:
-            raise ConfigError("stop_tol must be nonnegative")
+        self.validate_iterations()
         if prob is not None and self.gamma >= prob.penalty.gamma_max:
             raise ConfigError("gamma >= prox-boundedness threshold of the penalty")
         if self.theory_mode:
@@ -70,6 +67,13 @@ class SolverConfig:
                 raise ConfigError(
                     "theory mode requires gamma < 1/L (gamma=%g, 1/L=%g)"
                     % (self.gamma, 1.0 / self.lipschitz_L))
+
+    def validate_iterations(self):
+        """The checks every solver applies; ADMM and PDHG apply only these."""
+        if self.max_iter <= 0:
+            raise ConfigError("max_iter must be positive")
+        if self.stop_tol < 0:
+            raise ConfigError("stop_tol must be nonnegative")
 
 
 class IterateTrace:

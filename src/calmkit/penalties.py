@@ -415,16 +415,21 @@ class SeparablePenalty(Penalty):
         return self._subdiff(theta, self._limiting_at_knot)
 
     def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
-        sd = self.limiting_subdiff if limiting else self.prox_subdiff
-        return np.array([sd(float(xi)).distance(float(vi))
-                         for xi, vi in zip(np.atleast_1d(x), np.atleast_1d(v))])
+        x, v = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (x, v))
+        lo, hi = self.subdiff_bounds_array(x, limiting)
+        d = np.maximum(np.maximum(lo - v, v - hi), 0.0)
+        if limiting:
+            for b, (dl, dr) in self._joins.items():
+                if dl > dr:   # concave kink: the two slopes, not their hull
+                    d = np.where(x == b, np.minimum(np.abs(v - dr), np.abs(v - dl)), d)
+        return d
 
     def subdiff_bounds_array(self, theta, limiting=False):
         """Per-point hull [lo, hi] of the subdifferential; empty as (+inf, -inf).
 
         The hull is the subdifferential itself except for the limiting one
-        at a concave kink, a two-point set (the exact scalar routines are
-        used wherever exact distances matter).
+        at a concave kink, a two-point set; subdiff_distances corrects for
+        that case.
         """
         theta = np.asarray(theta, dtype=float)
         r = np.searchsorted(self._cuts, theta)

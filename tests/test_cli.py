@@ -189,11 +189,17 @@ def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch
     ["explain", "--penalty", '{"family": "l1", "lambda": 1.0}', "--point", "1,0"],
     ["reproduce", "table-1", "--case", "9"],
     ["oracle", "prox", "--family", "l1", "--u", "0.5", "--gamma", "1.0"],
+    ["solve", "--problem", "{admm_ok}", "--solver", "admm", "--max-iter", "0"],
+    ["solve", "--problem", "{admm_ok}", "--solver", "admm", "--stop-tol", "-1"],
+    ["solve", "--problem", "{pdhg}", "--solver", "pdhg", "--max-iter", "0"],
+    ["solve", "--problem", "{pdhg}", "--solver", "pdhg", "--stop-tol", "-1"],
 ])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv):
     files = {"{bad}": write(tmp_path, "p.json", LASSO),
              "{admm}": write(tmp_path, "a.json", {k: v for k, v in ADMM.items()
-                                                 if k != "beta"})}
+                                                 if k != "beta"}),
+             "{admm_ok}": write(tmp_path, "a_ok.json", ADMM),
+             "{pdhg}": write(tmp_path, "d.json", PDHG)}
     notjson = tmp_path / "n.json"
     notjson.write_text("{not json")
     files["{notjson}"] = str(notjson)

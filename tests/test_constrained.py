@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from calmkit.constrained_solvers import (ConvexTerm, LinearlyConstrainedProblem,
+from calmkit.constrained_solvers import (ConvexTerm, KKTTrace, LinearlyConstrainedProblem,
                                          SaddleProblem, gpadmm_solve, pdhg_solve,
                                          term_from_json)
 from calmkit.core import ConfigError, SolverConfig
 from calmkit.losses import operator_norm
 from calmkit.oracle import brute_force_prox
-from calmkit.penalties import L1Penalty
+from calmkit.penalties import (ARRAY_MIN_N, BoxIndicator, GroupLasso, L1Penalty,
+                               ZeroPenalty)
 
 
 def quad_term(n, diag=1.0):
@@ -115,6 +118,84 @@ def test_admm_rejects_bad_weights():
     with pytest.raises(ConfigError):
         gpadmm_solve(two_variable_qp(), -0.5, None, None, cfg(5),
                      (np.zeros(1), np.zeros(1), np.zeros(1)))
+    # symmetric part PSD, but the x-step solves with D itself
+    prob = LinearlyConstrainedProblem(quad_term(2), quad_term(2), np.eye(2), np.eye(2),
+                                      np.ones(2))
+    with pytest.raises(ConfigError, match="symmetric PSD"):
+        gpadmm_solve(prob, 1.0, np.array([[1.0, 0.5], [-0.5, 1.0]]), None, cfg(5),
+                     (np.zeros(2), np.zeros(2), np.zeros(2)))
+
+
+@pytest.mark.parametrize("solve", ["admm", "pdhg"])
+@pytest.mark.parametrize("iters, tol, msg", [(0, 0.0, "max_iter must be positive"),
+                                             (5, -1.0, "stop_tol must be nonnegative")])
+def test_constrained_solvers_check_iteration_settings(solve, iters, tol, msg):
+    with pytest.raises(ConfigError, match=msg):
+        if solve == "admm":
+            gpadmm_solve(two_variable_qp(), 1.0, None, None, cfg(iters, tol),
+                         (np.zeros(1), np.zeros(1), np.zeros(1)))
+        else:
+            pdhg_solve(SaddleProblem(quad_term(1), quad_term(1), [[1.0]]), 0.5, 0.5,
+                       cfg(iters, tol), (np.zeros(1), np.zeros(1)))
+
+
+def _group_shrink(u, gamma, groups, w):
+    out = u.copy()
+    for g in groups:
+        nrm = np.linalg.norm(u[g])
+        out[g] = 0.0 if nrm <= gamma * w else (1.0 - gamma * w / nrm) * u[g]
+    return out
+
+
+@pytest.mark.parametrize("family", ["l1", "box", "zero", "group"])
+def test_admm_x_step_above_array_min_n_is_the_closed_form_prox(family):
+    n, m, beta = 20, 30, 1.0
+    assert n >= ARRAY_MIN_N
+    rng = np.random.default_rng(4)
+    A = rng.standard_normal((m, n)) / math.sqrt(m)
+    groups = [list(range(i, i + 4)) for i in range(0, n, 4)]
+    pen, closed = {
+        "l1": (L1Penalty(0.3),
+               lambda u, g: np.sign(u) * np.maximum(np.abs(u) - 0.3 * g, 0.0)),
+        "box": (BoxIndicator(-0.4, 0.6), lambda u, g: np.clip(u, -0.4, 0.6)),
+        "zero": (ZeroPenalty(), lambda u, g: u),
+        "group": (GroupLasso(groups, [0.8] * len(groups)),
+                  lambda u, g: _group_shrink(u, g, groups, 0.8)),
+    }[family]
+    prob = LinearlyConstrainedProblem(ConvexTerm(n, penalty=pen),
+                                      ConvexTerm(m, quadratic=(np.eye(m), np.zeros(m))),
+                                      A, -np.eye(m), np.zeros(m))
+    tau = beta * operator_norm(A) ** 2 * 1.05
+    D1 = tau * np.eye(n) - beta * A.T @ A
+    x, y, lam = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(m)
+    tr = gpadmm_solve(prob, beta, D1, None, cfg(1), (x, y, lam))
+    u = (A.T @ lam - beta * A.T @ (-y) + D1 @ x) / tau
+    want = closed(u, 1.0 / tau)
+    assert np.allclose(tr.iterates[1][0], want, rtol=1e-12, atol=1e-12)
+    if family != "zero":
+        assert 0 < np.count_nonzero(want != u)   # the prox acts on some coordinate
+
+
+def test_pdhg_quadratic_step_is_the_linear_solve():
+    n, m, tau, sigma = 12, 5, 0.3, 0.4
+    rng = np.random.default_rng(9)
+    G = rng.standard_normal((n, n))
+    Q, q = G @ G.T / n, rng.standard_normal(n)
+    K = rng.standard_normal((m, n))
+    sp = SaddleProblem(ConvexTerm(n, quadratic=(0.5 * (Q + Q.T), q)),
+                       ConvexTerm(m, quadratic=(np.eye(m), np.zeros(m))), K)
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+    tr = pdhg_solve(sp, tau, sigma, cfg(1), (x, y), theory_mode=False)
+    want = np.linalg.solve(np.eye(n) + tau * sp.phi1.Q, x - tau * (K.T @ y) - tau * q)
+    assert np.allclose(tr.iterates[1][0], want, rtol=1e-12, atol=1e-12)
+
+
+def test_kkt_trace_pnorm_sums_left_to_right():
+    tr = KKTTrace(("x", "y", "lambda"))
+    tr.append((np.zeros(1),) * 3, (np.array([1e8]), np.array([1.0]), np.array([1.0])))
+    # (1e16 + 1) + 1 rounds to 1e16; a compensated sum would give 1e16 + 2
+    assert tr.pnorm(0) == math.sqrt((1e16 + 1.0) + 1.0) == 1e8
+    assert math.sqrt(math.fsum([1e16, 1.0, 1.0])) != 1e8
 
 
 def test_admm_rejects_prox_step_without_identity_form():
@@ -178,3 +259,7 @@ def test_term_json_round_trip():
     assert t2.kind == "l1"
     with pytest.raises(ConfigError):
         term_from_json({"family": "scad", "lambda": 1.0, "a": 3.0}, 1)
+    # symmetric part I, but the x-step would solve with Q itself
+    with pytest.raises(ConfigError, match="symmetric"):
+        term_from_json({"family": "quadratic", "Q": [[1.0, 1.0], [-1.0, 1.0]],
+                        "q": [0.0, 0.0]}, 2)

@@ -182,6 +182,26 @@ def test_subdifferentials_match_difference_quotients(g):
         assert g.prox_subdiff(g.upper).equals(IntervalSet.closed(0.0, math.inf))
 
 
+@pytest.mark.parametrize("limiting", [False, True])
+@pytest.mark.parametrize("g", SEPARABLE, ids=lambda g: g.family)
+def test_subdiff_distances_equal_the_scalar_sets_bit_for_bit(g, limiting):
+    rng = np.random.default_rng(11)
+    bps = g.breakpoints()
+    # at every breakpoint (the box ends among them): v at each one-sided
+    # slope, between two of them and beyond them
+    slopes = sorted({s for b in bps for s in g._joins[b] if math.isfinite(s)} | {0.0})
+    at_bp = slopes + [0.5 * (a + b) for a, b in zip(slopes, slopes[1:])] + [-7.0, 7.0]
+    pairs = [(b, v) for b in bps for v in at_bp]
+    # random points, and points off a bounded domain
+    pairs += [(float(x), float(v)) for x, v in rng.uniform(-6.0, 6.0, (300, 2))]
+    pairs += [(x, v) for x in (-1e300, -5.0, 5.0, 1e300) for v in (-0.5, 0.0, 3.0)]
+    xs, vs = (np.array(c) for c in zip(*pairs))
+    sd = g.limiting_subdiff if limiting else g.prox_subdiff
+    want = np.array([sd(float(x)).distance(float(v)) for x, v in pairs])
+    got = g.subdiff_distances(xs, vs, limiting)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # graphs
 
