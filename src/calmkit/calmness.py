@@ -7,19 +7,23 @@ directions) to an atom of a normal (or tangent) cone.  Each atom reduces to
 at most two linear equality/inequality rows; feasibility of a nonzero
 solution is decided through the null space of the equalities: by planar ray
 enumeration when it has dimension at most two (Example 5.1 and other
-small cases), and otherwise by a lineality test plus at most one LP (the
-all-vertex instances at n = 6 reach this).
+small cases), and otherwise (the all-vertex instances at n = 6 reach this)
+by a lineality test followed by an exact extreme-ray test: a pointed cone
+other than {0} has an extreme ray, the null vector of d - 1 independent
+constraint rows, so checking the null vector of every (d - 1)-row subset
+decides it without an LP.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import null_space
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (perfbench/tracing.py wraps calmness.linprog)
 
 from .core import ProblemSpec
 from .graphs_cones import (Atom, directional_limiting_normal_atoms,
@@ -159,23 +163,33 @@ def _nonzero_in_cone(N, Cc):
     if d == 2:
         feas = _planar_feasible(Cc)
         return N @ feas[0] if feas else None
-    # d >= 3: a direction of the lineality space {Cc y = 0} qualifies;
-    # without one the cone is pointed, so each nonzero y in it has
-    # Cc y >= 0 with Cc y != 0, and one LP scaled by 1^T Cc y = 1 decides.
+    # d >= 3: a direction of the lineality space {Cc y = 0} qualifies.
     # Unit rows bound the largest singular value by sqrt(rows), so the rank
     # cutoff keeps |Cc y| <= FEAS_TOL, the tolerance of the planar tests.
     lineal = null_space(Cc, rcond=FEAS_TOL / math.sqrt(Cc.shape[0]))
     if lineal.shape[1]:
         return N @ lineal[:, 0]
-    res = linprog(np.zeros(d), A_ub=-Cc, b_ub=np.zeros(Cc.shape[0]),
-                  A_eq=Cc.sum(axis=0)[None, :], b_eq=[1.0],
-                  bounds=[(None, None)] * d, method="highs")
-    if res.status == 2:
+    # Otherwise the cone is pointed, and if it is not {0} it has an extreme
+    # ray: a unit null vector of d - 1 independent rows of Cc.  As in the
+    # planar test, each (d - 1)-row subset offers its null vector y and -y.
+    # The last column of a complete QR of the subset's transpose is a unit
+    # vector orthogonal to all its rows, whatever the subset's rank.
+    A = Cc[_row_subsets(Cc.shape[0], d - 1)]
+    Y = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")[0][:, :, -1]
+    P = Cc @ Y.T
+    pos = np.all(P >= -FEAS_TOL, axis=0)
+    neg = np.all(P <= FEAS_TOL, axis=0)
+    hits = np.flatnonzero(pos | neg)
+    if not hits.size:
         return None
-    if res.status != 0:
-        raise CertificateError("multiplier LP failed: HiGHS status %d (%s)"
-                               % (res.status, res.message))
-    return N @ (res.x / np.linalg.norm(res.x))
+    k = hits[0]
+    return N @ (Y[k] if pos[k] else -Y[k])
+
+
+@functools.lru_cache(maxsize=None)
+def _row_subsets(m, k):
+    """Index array of all k-subsets of range(m), in lexicographic order."""
+    return np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
 
 
 def _cone_generators(N, Cc):

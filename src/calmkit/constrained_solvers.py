@@ -220,7 +220,7 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
         if not all(np.all(np.isfinite(v)) for v in (x_new, y_new, lam_new)):
             raise NumericAbort("non-finite ADMM iterate")
         p = (x - x_new, y - y_new, lam - lam_new)
-        mapped = (D1 @ p[0] - beta * A.T @ B @ p[1], D2 @ p[1], p[2] / beta)
+        mapped = (D1 @ p[0] - beta * (A.T @ (B @ p[1])), D2 @ p[1], p[2] / beta)
         r_x = prob.theta1.subdiff_distance(x_new, mapped[0] + A.T @ lam_new, prob.X)
         r_y = prob.theta2.subdiff_distance(y_new, mapped[1] + B.T @ lam_new, prob.Y)
         r_lam = float(np.linalg.norm(mapped[2] - (A @ x_new + B @ y_new - b)))

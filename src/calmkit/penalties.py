@@ -644,6 +644,12 @@ class GroupLasso(Penalty):
         x = self.prox_vector(u, gamma)
         return [(float(v),) for v in x]
 
+    def prox_step(self, x, u, gamma):
+        # the prox is single-valued, so it is both the step and the set
+        x_next = self.prox_vector(u, gamma)
+        d = np.asarray(x, dtype=float) - x_next
+        return x_next, math.sqrt(_sum(d * d))
+
     def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
         """Per group, dist(v_J, d(w_J ||.||)(x_J)); convex, so limiting is proximal."""
         x = np.asarray(x, dtype=float)

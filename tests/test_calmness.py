@@ -1,3 +1,4 @@
+import itertools
 import zlib
 
 import numpy as np
@@ -241,7 +242,7 @@ def test_modulus_rejects_high_dimension():
 def test_nnamcq_lp_fallback_detects_surviving_multiplier():
     # 4-D all-sector combination: concave quadratic with every coordinate at
     # the upper graph kink leaves eta >= 0 feasible (inequality-only system
-    # with a 4-dimensional null space, exercising the LP path)
+    # with a 4-dimensional null space, exercising the extreme-ray test)
     n = 4
     prob = ProblemSpec(n, QuadraticLoss(-np.eye(n), -np.ones(n)), L1Penalty(1.0))
     rep = check_nnamcq(prob, np.zeros(n))
@@ -257,7 +258,7 @@ def test_nnamcq_lp_fallback_detects_surviving_multiplier():
 
 def test_nnamcq_lp_fallback_certifies_zero_only():
     # same kinks but convex quadratic: the sector rows force eta = 0 in every
-    # inequality-only combination, so the LP path must certify only zero
+    # inequality-only combination, so the extreme-ray test must certify only zero
     n = 4
     prob = ProblemSpec(n, QuadraticLoss(np.eye(n), -np.ones(n)), L1Penalty(1.0))
     rep = check_nnamcq(prob, np.zeros(n))
@@ -290,16 +291,26 @@ def _box_lp_has_nonzero(E, C):
 def _random_cone_system(rng, kind):
     """(E, C) in R^n whose equalities leave a d >= 3 dimensional subspace,
     on which C cuts out a pointed cone, a cone with a lineality space, the
-    cone {0}, or whatever random rows give."""
+    cone {0}, or whatever random rows give.  The "duplicated" and
+    "rank-deficient" kinds are pointed cones whose rows repeat, or crowd
+    into a plane, so that many (d - 1)-row subsets have rank below d - 1;
+    half of the rank-deficient ones are closed to {0} by minus their sum."""
     d = int(rng.integers(3, 7))
     n = d + int(rng.integers(0, 7 - d))
     basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
     N, P = basis[:, :d], basis[:, d:]
     E = (P @ rng.standard_normal((n - d, n - d))).T
     rows = rng.standard_normal((int(rng.integers(d, 2 * d + 2)), d))
-    if kind == "pointed":
+    if kind == "duplicated":
+        rows = np.vstack([rows, rows[rng.integers(0, len(rows), size=d)]])
+    elif kind == "rank-deficient":
+        plane = rng.standard_normal((2, d))
+        rows = np.vstack([rows, rng.standard_normal((d, 2)) @ plane])
+    if kind in ("pointed", "duplicated", "rank-deficient"):
         y0 = rng.standard_normal(d)
         rows *= np.sign(rows @ y0)[:, None]
+        if kind == "rank-deficient" and rng.random() < 0.5:
+            rows = np.vstack([rows, -rows.sum(axis=0)])
     elif kind == "lineality":
         line = rng.standard_normal((int(rng.integers(1, d - 1)), d))
         Q, _ = np.linalg.qr(line.T)
@@ -309,7 +320,8 @@ def _random_cone_system(rng, kind):
     return E, rows @ N.T
 
 
-@pytest.mark.parametrize("kind", ["pointed", "lineality", "zero", "random"])
+@pytest.mark.parametrize("kind", ["pointed", "lineality", "zero", "random",
+                                  "duplicated", "rank-deficient"])
 def test_nonzero_in_cone_matches_box_lp_reference(kind):
     from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
     rng = np.random.default_rng(zlib.crc32(kind.encode()))
@@ -326,9 +338,11 @@ def test_nonzero_in_cone_matches_box_lp_reference(kind):
         Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
         assert np.all(np.abs(En @ z) <= FEAS_TOL)
         assert np.all(Cn @ z >= -FEAS_TOL)
-    expected = {"pointed": 50, "lineality": 50, "zero": 0}
+    expected = {"pointed": 50, "lineality": 50, "zero": 0, "duplicated": 50}
     if kind in expected:
         assert found == expected[kind]
+    if kind == "rank-deficient":
+        assert 0 < found < 50
 
 
 def _l1_all_vertex(n, seed):
@@ -340,29 +354,77 @@ def _l1_all_vertex(n, seed):
     return ProblemSpec(n, QuadraticLoss(0.5 * (Q + Q.T), -signs), L1Penalty(1.0))
 
 
-def test_multiplier_systems_cost_at_most_one_lp_each(monkeypatch):
+def _scad_all_kink(n, seed, lam=0.2, a=3.7):
+    # dense positive definite Q; every coordinate at a kink of the SCAD graph
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2 * n, n))
+    Q = A.T @ A / (2 * n) + 0.5 * np.eye(n)
+    x = rng.choice([lam, a * lam], size=n) * rng.choice([-1.0, 1.0], size=n)
+    slope = np.where(np.abs(x) <= lam, lam * np.sign(x), 0.0)
+    return ProblemSpec(n, QuadraticLoss(0.5 * (Q + Q.T), -Q @ x - slope),
+                       ScadPenalty(lam, a)), x
+
+
+def test_multiplier_systems_call_no_lp(monkeypatch):
+    import scipy.optimize
     import calmkit.calmness as calmness
-    calls = []
-    real = calmness.linprog
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def no_lp(*args, **kwargs):
+        raise AssertionError("linprog called")
 
-    monkeypatch.setattr(calmness, "linprog", counting)
+    monkeypatch.setattr(calmness, "linprog", no_lp)
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
     rep = check_nnamcq(_l1_all_vertex(5, 3), np.zeros(5))
+    assert rep.verdict == "holds"
     assert rep.pieces_examined == 3 ** 5
-    assert 0 < len(calls) <= rep.pieces_examined
 
 
-def test_unsolved_multiplier_lp_raises(monkeypatch):
-    import types
-    import calmkit.calmness as calmness
-    monkeypatch.setattr(calmness, "linprog", lambda *a, **k: types.SimpleNamespace(
-        status=4, message="numerical difficulties"))
-    # the positive orthant of R^3 is pointed, so only the LP can decide it
-    with pytest.raises(CertificateError, match="status 4"):
-        calmness._nonzero_in_cone(np.eye(3), np.eye(3))
+def test_extreme_ray_test_on_hand_made_cones():
+    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+
+    def nonzero(C):
+        C = np.asarray(C, dtype=float)
+        return _nonzero_in_cone(*_reduce(np.zeros((0, C.shape[1])), C)[2:])
+
+    # the positive orthant of R^3 is pointed, so only the extreme rays decide it
+    z = nonzero(np.eye(3))
+    assert z is not None and np.linalg.norm(z) > 0.5
+    assert np.all(z >= -FEAS_TOL)
+    # y1, y2 >= 0 and y1 + y2 <= 0 leave exactly the ray (0, 0, 1)
+    z = nonzero([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1]])
+    assert z is not None
+    assert np.allclose(z / np.linalg.norm(z), [0.0, 0.0, 1.0], atol=1e-12)
+    # rows plus minus their own sum: only y = 0
+    assert nonzero([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]) is None
+    rows = np.random.default_rng(5).standard_normal((4, 3))
+    assert nonzero(np.vstack([rows, -rows.sum(axis=0)])) is None
+
+
+@pytest.mark.parametrize("name", ["l1-vertex", "scad-kink"])
+def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
+    from calmkit.calmness import _assemble, _nonzero_in_cone, _reduce
+    from calmkit.graphs_cones import limiting_normal_atoms
+    n = 5
+    if name == "l1-vertex":
+        prob, x_bar = _l1_all_vertex(n, 3), np.zeros(n)
+    else:
+        prob, x_bar = _scad_all_kink(n, 3)
+    assert is_proximal_stationary(prob, x_bar, 1e-8)
+    G = prob.penalty.graph()
+    H = prob.loss.hessian(x_bar)
+    grad = prob.loss.gradient(x_bar)
+    atoms = [limiting_normal_atoms(G, (float(x_bar[i]), float(-grad[i])), 1e-8)
+             for i in range(n)]
+    emb = [(H[i], np.eye(n)[i]) for i in range(n)]
+    systems = wide = 0
+    for combo in itertools.product(*atoms):
+        E, C = _assemble(combo, emb)
+        N, Cc = _reduce(E, C)[2:]
+        systems += 1
+        wide += N.shape[1] >= 3 and Cc.shape[0] > 0
+        assert (_nonzero_in_cone(N, Cc) is not None) == _box_lp_has_nonzero(E, C), combo
+    assert systems == 3 ** n
+    assert wide > 0
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,22 @@ def test_admm_x_step_above_array_min_n_is_the_closed_form_prox(family):
         assert 0 < np.count_nonzero(want != u)   # the prox acts on some coordinate
 
 
+def test_admm_mapped_perturbation_matches_the_matrix_product_form():
+    n, m, beta = 20, 30, 0.7
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((m, n)) / math.sqrt(m)
+    B = rng.standard_normal((m, m)) / math.sqrt(m) + np.eye(m)
+    prob = LinearlyConstrainedProblem(ConvexTerm(n, penalty=L1Penalty(0.1)),
+                                      ConvexTerm(m, quadratic=(np.eye(m), np.zeros(m))),
+                                      A, B, rng.standard_normal(m))
+    D1 = beta * operator_norm(A) ** 2 * 1.05 * np.eye(n) - beta * A.T @ A
+    tr = gpadmm_solve(prob, beta, D1, None, cfg(30),
+                      (np.zeros(n), np.zeros(m), np.zeros(m)))
+    for p, mapped in zip(tr.perturbations[1:], tr.mapped[1:]):
+        want = D1 @ p[0] - beta * A.T @ B @ p[1]
+        assert np.linalg.norm(mapped[0] - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_pdhg_quadratic_step_is_the_linear_solve():
     n, m, tau, sigma = 12, 5, 0.3, 0.4
     rng = np.random.default_rng(9)

@@ -78,6 +78,23 @@ def test_group_lasso_prox_blockwise():
     assert abs(arg[0] - 2.4) < 0.03 and abs(arg[1] - 3.2) < 0.03
 
 
+def test_group_lasso_prox_step_equals_the_coordinate_set_step_bit_for_bit():
+    from calmkit.penalties import Penalty
+    rng = np.random.default_rng(21)
+    n = 200
+    perm = rng.permutation(n)
+    g = GroupLasso([perm[i:i + 2] for i in range(0, n, 2)], rng.uniform(0.0, 2.0, 100))
+    zeros = []
+    for gamma in (0.05, 0.5, 2.0):
+        x, u = rng.standard_normal(n), rng.standard_normal(n)
+        got = g.prox_step(x, u, gamma)
+        want = Penalty.prox_step(g, x, u, gamma)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1]
+        zeros.append(np.count_nonzero(got[0] == 0.0))
+    assert zeros[0] == 0 and 0 < zeros[-1] < n   # no group, then some, shrink to 0
+
+
 def test_box_prox_is_projection():
     res = prox(BoxIndicator(-1.0, 2.0), np.array([5.0, -3.0, 0.5]), 0.7)
     assert np.allclose(res.minimizers[0], [2.0, -1.0, 0.5])
