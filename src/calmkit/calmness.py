@@ -4,14 +4,12 @@ calmness-modulus estimation for the canonically and PG-perturbed maps.
 The multiplier systems of the separable criteria constrain, per coordinate,
 the planar vector ((H eta)_i, eta_i) (or (w_i, -(H w)_i) for critical
 directions) to an atom of a normal (or tangent) cone.  Each atom reduces to
-at most two linear equality/inequality rows; feasibility of a nonzero
-solution is decided through the null space of the equalities: by planar ray
-enumeration when it has dimension at most two (Example 5.1 and other
-small cases), and otherwise (the all-vertex instances at n = 6 reach this)
-by a lineality test followed by an exact extreme-ray test: a pointed cone
-other than {0} has an extreme ray, the null vector of d - 1 independent
-constraint rows, so checking the null vector of every (d - 1)-row subset
-decides it without an LP.
+at most two linear equality/inequality rows.  On the null space of the
+equalities, one routine, _cone_rays, generates the cone the inequalities
+leave, in any dimension and without an LP: +- a basis of its lineality
+space, then the extreme rays of its pointed part, each the null vector of
+rank - 1 rows.  The multiplier test takes the first ray; the critical
+directions take all of them.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import null_space  # noqa: F401  (perfbench/tracing.py wraps calmness.null_space)
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracing.py wraps calmness.linprog)
 
 from .core import ProblemSpec
@@ -124,6 +122,23 @@ def _normalize_rows(M):
     return M[keep] / norms[keep, None]
 
 
+def _svd_rank(A, rcond=None):
+    """Rank and right singular vectors Vt of A from one SVD.
+
+    The rank counts the singular values above rcond times the largest
+    (default eps * max(A.shape)), the rule of scipy.linalg.null_space.
+    Vt[rank:] is an orthonormal basis of the null space of A and Vt[:rank]
+    one of its row space; a matrix with no rows has rank 0 and Vt = I.
+    """
+    m, d = A.shape
+    if m == 0:
+        return 0, np.eye(d)
+    _, s, Vt = np.linalg.svd(A)
+    if rcond is None:
+        rcond = np.finfo(float).eps * max(m, d)
+    return int(np.count_nonzero(s > rcond * s[0])), Vt
+
+
 def _reduce(E, C):
     """Normalised rows E, C, a null-space basis N of E, and Cc = C N.
 
@@ -131,59 +146,46 @@ def _reduce(E, C):
     """
     E = _normalize_rows(E)
     C = _normalize_rows(C)
-    N = null_space(E) if E.shape[0] else np.eye(E.shape[1])
+    rank, Vt = _svd_rank(E)
+    N = Vt[rank:].T
     Cc = _normalize_rows(C @ N) if C.shape[0] and N.shape[1] else np.zeros((0, N.shape[1]))
     return E, C, N, Cc
 
 
-def _planar_feasible(Cc):
-    """Candidate rays of the planar cone {Cc u >= 0} that lie in it."""
-    cands = [np.array(v) for v in ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))]
-    for c in Cc:
-        cands.append(np.array([c[1], -c[0]]))
-        cands.append(np.array([-c[1], c[0]]))
-    return [u for u in cands if np.all(Cc @ u >= -FEAS_TOL)]
+def _cone_rays(Cc):
+    """Unit generators of the cone {y : Cc y >= 0}, computed lazily.
 
-
-def _nonzero_in_cone(N, Cc):
-    """A nonzero z = N y with Cc y >= 0, or None if only y = 0 qualifies.
-
-    (N, Cc) is the reduction of {E z = 0, C z >= 0} made by _reduce.
+    First +- each basis vector of the lineality space {Cc y = 0}: unit rows
+    bound the largest singular value by sqrt(rows), so the rank cutoff
+    keeps |Cc y| <= FEAS_TOL there.  Then the extreme rays of the pointed
+    part, the cone within the row space of Cc (rank r): a pointed cone
+    other than {0} has an extreme ray, a unit null vector u of r - 1
+    independent rows, so every (r - 1)-row subset offers its u and -u,
+    taken when they lie in the cone.  The last column of a complete QR of
+    the subset's transpose is a unit vector orthogonal to all its rows,
+    whatever the subset's rank; rank-deficient subsets can add rays that
+    are not extreme, never a point outside the cone.
     """
-    d = N.shape[1]
-    if d == 0:
-        return None
-    if Cc.shape[0] == 0:
-        return N[:, 0]
-    if d == 1:
-        for s in (1.0, -1.0):
-            if np.all(s * Cc[:, 0] >= -FEAS_TOL):
-                return s * N[:, 0]
-        return None
-    if d == 2:
-        feas = _planar_feasible(Cc)
-        return N @ feas[0] if feas else None
-    # d >= 3: a direction of the lineality space {Cc y = 0} qualifies.
-    # Unit rows bound the largest singular value by sqrt(rows), so the rank
-    # cutoff keeps |Cc y| <= FEAS_TOL, the tolerance of the planar tests.
-    lineal = null_space(Cc, rcond=FEAS_TOL / math.sqrt(Cc.shape[0]))
-    if lineal.shape[1]:
-        return N @ lineal[:, 0]
-    # Otherwise the cone is pointed, and if it is not {0} it has an extreme
-    # ray: a unit null vector of d - 1 independent rows of Cc.  As in the
-    # planar test, each (d - 1)-row subset offers its null vector y and -y.
-    # The last column of a complete QR of the subset's transpose is a unit
-    # vector orthogonal to all its rows, whatever the subset's rank.
-    A = Cc[_row_subsets(Cc.shape[0], d - 1)]
-    Y = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")[0][:, :, -1]
-    P = Cc @ Y.T
+    m, d = Cc.shape
+    rank, Vt = _svd_rank(Cc, FEAS_TOL / math.sqrt(max(m, 1)))
+    for v in Vt[rank:]:
+        yield v
+        yield -v
+    if rank == 0:
+        return
+    A = Cc if rank == d else Cc @ Vt[:rank].T
+    U = np.linalg.qr(A[_row_subsets(m, rank - 1)].transpose(0, 2, 1),
+                     mode="complete")[0][:, :, -1]
+    P = A @ U.T
     pos = np.all(P >= -FEAS_TOL, axis=0)
     neg = np.all(P <= FEAS_TOL, axis=0)
-    hits = np.flatnonzero(pos | neg)
-    if not hits.size:
-        return None
-    k = hits[0]
-    return N @ (Y[k] if pos[k] else -Y[k])
+    if rank < d:
+        U = U @ Vt[:rank]
+    for k in np.flatnonzero(pos | neg):
+        if pos[k]:
+            yield U[k]
+        if neg[k]:
+            yield -U[k]
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,34 +194,32 @@ def _row_subsets(m, k):
     return np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
 
 
-def _cone_generators(N, Cc):
-    """Extreme rays plus one interior direction of the reduced cone N {Cc y >= 0}.
+def _nonzero_in_cone(N, Cc):
+    """A nonzero z = N y with Cc y >= 0, or None if only y = 0 qualifies.
 
-    In three or more dimensions only one nonzero direction is returned.
+    (N, Cc) is the reduction of {E z = 0, C z >= 0} made by _reduce.
     """
-    d = N.shape[1]
-    if d and Cc.shape[0] == 0:
-        gens = [s * N[:, j] for j in range(d) for s in (1.0, -1.0)]
-        if d > 1:
-            mix = N @ (np.arange(1, d + 1) / math.sqrt(d))
-            gens += [mix, -mix]
-        return gens
-    if d == 2:
-        # dedupe in the plane, then add midpoints of adjacent extreme rays
-        uniq = []
-        for u in _planar_feasible(Cc):
-            u = u / np.linalg.norm(u)
-            if not any(np.dot(u, v) > 1.0 - 1e-12 for v in uniq):
-                uniq.append(u)
-        gens = [N @ u for u in uniq]
-        for a, b in itertools.combinations(uniq, 2):
-            m = a + b
-            nm = np.linalg.norm(m)
-            if nm > 1e-9 and np.all(Cc @ (m / nm) >= -FEAS_TOL):
-                gens.append(N @ (m / nm))
-        return gens
-    z = _nonzero_in_cone(N, Cc)
-    return [] if z is None else [z]
+    if N.shape[1] == 0:
+        return None
+    y = next(_cone_rays(Cc), None)
+    return None if y is None else N @ y
+
+
+def _cone_generators(N, Cc):
+    """The distinct rays of the reduced cone N {Cc y >= 0}, plus their
+    normalised sum when it is nonzero and lies in the cone."""
+    if N.shape[1] == 0:
+        return []
+    rays = []
+    for y in _cone_rays(Cc):
+        if not any(np.dot(y, v) > 1.0 - 1e-12 for v in rays):
+            rays.append(y)
+    gens = [N @ y for y in rays]
+    mix = sum(rays, np.zeros(N.shape[1]))
+    norm = np.linalg.norm(mix)
+    if norm > 1e-9 and np.all(Cc @ (mix / norm) >= -FEAS_TOL):
+        gens.append(N @ (mix / norm))
+    return gens
 
 
 def _membership_residual(E, C, z):
@@ -308,7 +308,8 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     critical directions w != 0 with (w_i, -(H w)_i) in T_i; an empty
     critical cone upgrades the verdict to isolated calmness.  Stage 2
     re-runs the multiplier test against directional limiting normal cones
-    along each critical direction (extreme rays plus an interior one).
+    along each critical direction (every ray of each combination's
+    critical cone, plus their normalised sum).
     """
     x_bar, G, H, points = _certificate_setup(prob, x_bar, tol)
     n = prob.n

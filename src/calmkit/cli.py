@@ -68,7 +68,7 @@ def _emit(obj, path=None):
         print(text)
 
 
-def _solver_config(args, prob=None, L=None, box=None):
+def _solver_config(args, L=None, box=None):
     return SolverConfig(gamma=args.gamma, max_iter=args.max_iter,
                         stop_tol=args.stop_tol, lipschitz_L=L or 0.0,
                         theory_mode=not args.permissive,
@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
     if args.solver in ("pg", "ppa"):
         prob = problem_from_json(raw)
         L, box = _lipschitz(prob, args)
-        cfg = _solver_config(args, prob, L, box)
+        cfg = _solver_config(args, L, box)
         x0 = _parse_vector(args.x0, prob.n) if args.x0 else np.zeros(prob.n)
         solver = pg_solve if args.solver == "pg" else ppa_solve
         tr = solver(prob, cfg, x0)
@@ -210,10 +210,6 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _cone_json(c):
-    return c.to_json()
-
-
 def cmd_reproduce(args) -> int:
     if args.what == "example-5-1":
         out = {"cases": [], "notes": []}
@@ -238,16 +234,14 @@ def cmd_reproduce(args) -> int:
         zmid = 0.5 * (lam + a * lam)
         slant = (1.0, 1.0 / (1.0 - a))
         out["cones"] = {
-            "directional_at_lower_kink_up": _cone_json(
-                directional_limiting_normal_cone(G, (0.0, -lam), (0.0, 1.0))),
-            "directional_on_slant": _cone_json(
-                directional_limiting_normal_cone(
-                    G, (zmid, (a * lam - zmid) / (a - 1.0)), slant)),
-            "limiting_interior_vertical": _cone_json(
-                limiting_normal_cone(G, (0.0, 0.3 * lam))),
-            "limiting_interior_flat": _cone_json(
-                limiting_normal_cone(G, (0.5 * lam, lam))),
-            "tangent_at_upper_kink": _cone_json(tangent_cone(G, (0.0, lam))),
+            "directional_at_lower_kink_up": directional_limiting_normal_cone(
+                G, (0.0, -lam), (0.0, 1.0)).to_json(),
+            "directional_on_slant": directional_limiting_normal_cone(
+                G, (zmid, (a * lam - zmid) / (a - 1.0)), slant).to_json(),
+            "limiting_interior_vertical": limiting_normal_cone(
+                G, (0.0, 0.3 * lam)).to_json(),
+            "limiting_interior_flat": limiting_normal_cone(G, (0.5 * lam, lam)).to_json(),
+            "tangent_at_upper_kink": tangent_cone(G, (0.0, lam)).to_json(),
         }
         out["notes"].append(
             "The upper-kink tangent cone follows the drawn graph geometry "

@@ -1,4 +1,5 @@
 import itertools
+import math
 import zlib
 
 import numpy as np
@@ -107,6 +108,43 @@ def test_nnamcq_failure_produces_valid_witness():
     G = prob.penalty.graph()
     assert limiting_normal_cone(G, (0.0, 1.0)).contains_vector(
         (float(xi[0]), float(eta[0])), tol=1e-9)
+
+
+# (verdict, condition, pieces_examined, notes) and witnesses of Example 5.1
+EXAMPLE_5_1_REPORTS = {
+    ("case-i", "nnamcq"): (("holds", "NNAMCQ", 3, ""), []),
+    ("case-i", "foscms"): (("holds", "isolated-calmness", 2,
+                            "no nonzero linearized critical direction"), []),
+    ("case-ii", "nnamcq"): (("holds", "NNAMCQ", 3, ""), []),
+    ("case-ii", "foscms"): (("holds", "isolated-calmness", 2,
+                             "no nonzero linearized critical direction"), []),
+    ("case-ii-degenerate", "nnamcq"): (
+        ("fails", "NNAMCQ", 2,
+         "nonzero multiplier (xi, eta); membership residual 0.00e+00"),
+        [[[-0.5643823935199818, 0.49999999999999994], [0.0, 1.0]]]),
+    ("case-ii-degenerate", "foscms"): (
+        ("inconclusive", "FOSCMS", 3,
+         "multiplier survives along a critical direction (membership residual 0.00e+00)"),
+        [[[0.0, 1.0], [-0.5643823935199818, 0.49999999999999994], [0.0, 1.0]]]),
+    ("case-iii", "nnamcq"): (("holds", "NNAMCQ", 1, ""), []),
+    ("case-iii", "foscms"): (("holds", "isolated-calmness", 1,
+                              "no nonzero linearized critical direction"), []),
+}
+
+
+def test_example_5_1_reports_are_pinned():
+    seen = set()
+    for case in example_5_1_cases():
+        for name, check in (("nnamcq", check_nnamcq), ("foscms", check_foscms)):
+            rep = check(case.prob, case.z_bar)
+            head, witnesses = EXAMPLE_5_1_REPORTS[case.name, name]
+            seen.add((case.name, name))
+            assert (rep.verdict, rep.condition, rep.pieces_examined, rep.notes) == head
+            assert [len(group) for group in rep.witnesses] == [len(g) for g in witnesses]
+            for got, want in zip(rep.witnesses, witnesses):
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12)
+    assert seen == set(EXAMPLE_5_1_REPORTS)
 
 
 def test_nnamcq_implies_foscms():
@@ -267,25 +305,35 @@ def test_nnamcq_lp_fallback_certifies_zero_only():
 
 
 # ---------------------------------------------------------------------------
-# the multiplier test on null spaces of dimension three and higher
+# the cone test and the cone generators
+
+def _box_lp_max(c, E, C):
+    """Reference: the largest c . z over {E z = 0, C z >= 0, |z_j| <= 1}."""
+    from scipy.optimize import linprog
+    n = E.shape[1]
+    res = linprog(-c, A_ub=-C if C.shape[0] else None,
+                  b_ub=np.zeros(C.shape[0]) if C.shape[0] else None,
+                  A_eq=E if E.shape[0] else None,
+                  b_eq=np.zeros(E.shape[0]) if E.shape[0] else None,
+                  bounds=[(-1.0, 1.0)] * n, method="highs")
+    assert res.status == 0
+    return -res.fun
+
 
 def _box_lp_has_nonzero(E, C):
     """Reference: maximise each +-z_j over {E z = 0, C z >= 0, |z_j| <= 1}."""
-    from scipy.optimize import linprog
     n = E.shape[1]
-    for j in range(n):
-        for sign in (1.0, -1.0):
-            c = np.zeros(n)
-            c[j] = -sign
-            res = linprog(c, A_ub=-C if C.shape[0] else None,
-                          b_ub=np.zeros(C.shape[0]) if C.shape[0] else None,
-                          A_eq=E if E.shape[0] else None,
-                          b_eq=np.zeros(E.shape[0]) if E.shape[0] else None,
-                          bounds=[(-1.0, 1.0)] * n, method="highs")
-            assert res.status == 0
-            if -res.fun > 1e-7:
-                return True
-    return False
+    return any(_box_lp_max(sign * np.eye(n)[j], E, C) > 1e-7
+               for j in range(n) for sign in (1.0, -1.0))
+
+
+def _embed(rng, d, extra):
+    """An orthonormal basis N of a random d-dimensional subspace of R^(d +
+    extra) and equality rows E whose null space it is."""
+    n = d + extra
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    N, P = basis[:, :d], basis[:, d:]
+    return N, (P @ rng.standard_normal((n - d, n - d))).T
 
 
 def _random_cone_system(rng, kind):
@@ -296,10 +344,7 @@ def _random_cone_system(rng, kind):
     into a plane, so that many (d - 1)-row subsets have rank below d - 1;
     half of the rank-deficient ones are closed to {0} by minus their sum."""
     d = int(rng.integers(3, 7))
-    n = d + int(rng.integers(0, 7 - d))
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    N, P = basis[:, :d], basis[:, d:]
-    E = (P @ rng.standard_normal((n - d, n - d))).T
+    N, E = _embed(rng, d, int(rng.integers(0, 7 - d)))
     rows = rng.standard_normal((int(rng.integers(d, 2 * d + 2)), d))
     if kind == "duplicated":
         rows = np.vstack([rows, rows[rng.integers(0, len(rows), size=d)]])
@@ -343,6 +388,138 @@ def test_nonzero_in_cone_matches_box_lp_reference(kind):
         assert found == expected[kind]
     if kind == "rank-deficient":
         assert 0 < found < 50
+
+
+def _low_dim_cone_system(rng, kind, d):
+    """(E, C) in R^n whose equalities leave a d = 1 or 2 dimensional
+    subspace, on which C cuts out a pointed sector (a ray when d = 1), a
+    half-plane from one row or from parallel rows, the line {c y = 0}, the
+    cone {0}, or, with no rows, the whole subspace."""
+    N, E = _embed(rng, d, int(rng.integers(0, 4)))
+    c = rng.standard_normal((1, d))
+    if kind == "sector":
+        rows = rng.standard_normal((int(rng.integers(2, 5)), d))
+        rows *= np.sign(rows @ rng.standard_normal(d))[:, None]
+    elif kind == "half-plane":
+        rows = c
+    elif kind == "parallel":
+        rows = rng.uniform(0.5, 2.0, size=(int(rng.integers(2, 4)), 1)) * c
+    elif kind == "line":
+        rows = np.vstack([c, -c])
+    elif kind == "zero":
+        rows = rng.standard_normal((d + 1, d))
+        rows = np.vstack([rows, -rows.sum(axis=0)])
+    else:
+        rows = np.zeros((0, d))
+    return E, rows @ N.T
+
+
+@pytest.mark.parametrize("kind", ["sector", "half-plane", "parallel", "line",
+                                  "zero", "no-rows"])
+def test_nonzero_in_cone_matches_box_lp_in_one_and_two_dimensions(kind):
+    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+    rng = np.random.default_rng(zlib.crc32(("low-" + kind).encode()))
+    for d in (1, 2):
+        found = 0
+        for _ in range(20):
+            E, C = _low_dim_cone_system(rng, kind, d)
+            N, Cc = _reduce(E, C)[2:]
+            assert N.shape[1] == d
+            z = _nonzero_in_cone(N, Cc)
+            assert (z is not None) == _box_lp_has_nonzero(E, C)
+            if z is None:
+                continue
+            found += 1
+            z = z / np.linalg.norm(z)
+            En = E / np.linalg.norm(E, axis=1, keepdims=True)
+            Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
+            assert np.all(np.abs(En @ z) <= FEAS_TOL)
+            assert np.all(Cn @ z >= -FEAS_TOL)
+        nonzero = kind != "zero" and not (kind == "line" and d == 1)
+        assert found == (20 if nonzero else 0)
+
+
+def _random_cone(rng, kind):
+    """(E, C) in R^n whose equalities leave a d = 1..5 dimensional subspace,
+    on which C cuts out a pointed cone, a cone with a lineality space of
+    dimension 1..d-1, the whole subspace, or {0}."""
+    d = int(rng.integers(2 if kind == "lineality" else 1, 6))
+    N, E = _embed(rng, d, int(rng.integers(0, 3)))
+    rows = rng.standard_normal((int(rng.integers(1, 2 * d + 2)), d))
+    if kind == "lineality":
+        Q, _ = np.linalg.qr(rng.standard_normal((d, int(rng.integers(1, d)))))
+        rows -= (rows @ Q) @ Q.T
+    if kind in ("pointed", "lineality"):
+        rows *= np.sign(rows @ rng.standard_normal(d))[:, None]
+    elif kind == "full":
+        rows = np.zeros((0, d))
+    else:
+        rows = rng.standard_normal((d + 1, d))
+        rows = np.vstack([rows, -rows.sum(axis=0)])
+    return E, rows @ N.T
+
+
+@pytest.mark.parametrize("kind", ["pointed", "lineality", "full", "zero"])
+def test_cone_generators_generate_their_cone(kind):
+    # a functional is positive somewhere on the cone (an LP over the cone and
+    # the box) exactly when it is positive on one of the generators.  Half
+    # of the functionals are combinations of the rows, which vanish on the
+    # lineality space, so that they probe the pointed part as well.
+    from calmkit.calmness import FEAS_TOL, _cone_generators, _reduce
+    rng = np.random.default_rng(zlib.crc32(("generators-" + kind).encode()))
+    for _ in range(50):
+        E, C = _random_cone(rng, kind)
+        gens = _cone_generators(*_reduce(E, C)[2:])
+        En = E / np.linalg.norm(E, axis=1, keepdims=True)
+        Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
+        for g in gens:
+            assert np.all(np.abs(En @ g) <= FEAS_TOL)
+            assert np.all(Cn @ g >= -FEAS_TOL)
+        for j in range(20):
+            if j % 2:
+                c = (C.T @ (rng.standard_normal(C.shape[0]) - 0.5)
+                     + E.T @ rng.standard_normal(E.shape[0]))
+            else:
+                c = rng.standard_normal(E.shape[1])
+            assert (_box_lp_max(c, E, C) > 1e-7) == any(c @ g > FEAS_TOL for g in gens)
+        if kind == "zero":
+            assert not gens
+
+
+def test_cone_generators_on_hand_made_cones():
+    from calmkit.calmness import _cone_generators, _reduce
+
+    def generators(C, d):
+        C = np.asarray(C, dtype=float).reshape(-1, d)
+        gens = _cone_generators(*_reduce(np.zeros((0, d)), C)[2:])
+        return sorted(np.round(g, 12).tolist() for g in gens)
+
+    e = np.eye(3).tolist()
+    # the orthant, each row twice: its three edges once each, plus their sum
+    mid = [round(1 / math.sqrt(3), 12)] * 3
+    assert generators(np.vstack([np.eye(3), np.eye(3)]), 3) == sorted(e + [mid])
+    # the half-plane y2 >= 0: +-(1, 0) spans its lineality space, (0, 1) is
+    # the ray of its pointed part and also the sum
+    assert generators([[0, 1]], 2) == [[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
+    # the line y1 = y2, the whole plane, and {0}
+    s = round(1 / math.sqrt(2), 12)
+    assert generators([[1, -1], [-1, 1]], 2) == [[-s, -s], [s, s]]
+    assert generators([], 2) == [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]]
+    assert generators([[1, 0], [0, 1], [-1, -1]], 2) == []
+
+
+def test_svd_rank_follows_the_null_space_rule_of_scipy():
+    from scipy.linalg import null_space
+    from calmkit.calmness import _svd_rank
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        m, d = (int(k) for k in rng.integers(1, 9, size=2))
+        k = int(rng.integers(1, min(m, d) + 1))    # rank k, often below min(m, d)
+        A = rng.standard_normal((m, k)) @ rng.standard_normal((k, d))
+        rank, Vt = _svd_rank(A)
+        assert rank == k
+        assert np.array_equal(Vt[rank:].T, null_space(A))
+    assert _svd_rank(np.zeros((0, 3)))[0] == 0
 
 
 def _l1_all_vertex(n, seed):
