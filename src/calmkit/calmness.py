@@ -4,12 +4,17 @@ calmness-modulus estimation for the canonically and PG-perturbed maps.
 The multiplier systems of the separable criteria constrain, per coordinate,
 the planar vector ((H eta)_i, eta_i) (or (w_i, -(H w)_i) for critical
 directions) to an atom of a normal (or tangent) cone.  Each atom reduces to
-at most two linear equality/inequality rows.  On the null space of the
-equalities, one routine, _cone_rays, generates the cone the inequalities
-leave, in any dimension and without an LP: +- a basis of its lineality
-space, then the extreme rays of its pointed part, each the null vector of
-rank - 1 rows.  The multiplier test takes the first ray; the critical
-directions take all of them.
+at most two linear equality/inequality rows; _nonzero_in_cone decides, in
+any dimension and without an LP, whether the cone they cut out is {0}.
+
+R(a, b) = (-b, a) maps the tangent embedding (w_i, -(H w)_i) onto the
+multiplier embedding ((H w)_i, w_i), and a tangent direction along a piece
+of a polyline graph into that piece's normal line, which the directional
+limiting normal cone along it contains.  So eta = w is a directional
+multiplier along every critical direction w (the symmetric case of Gfrerer
+2013 and Gfrerer & Ye 2017): FOSCMS is "inconclusive" as soon as the
+critical cone holds a w != 0, never "holds", and (H w, w) then fails NNAMCQ
+too, so NNAMCQ holding implies isolated calmness.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .graphs_cones import (Atom, directional_limiting_normal_atoms,
                            limiting_normal_atoms, tangent_atoms)
 from .oracle import brute_force_set_valued_solve, brute_force_stationary_set
 
-MAX_CERT_DIM = 8
+MAX_CERT_DIM = 8       # NNAMCQ enumerates 3^n multiplier systems
+MAX_FOSCMS_DIM = 12    # FOSCMS enumerates 2^n tangent systems
 FEAS_TOL = 1e-9
 
 
@@ -152,42 +158,6 @@ def _reduce(E, C):
     return E, C, N, Cc
 
 
-def _cone_rays(Cc):
-    """Unit generators of the cone {y : Cc y >= 0}, computed lazily.
-
-    First +- each basis vector of the lineality space {Cc y = 0}: unit rows
-    bound the largest singular value by sqrt(rows), so the rank cutoff
-    keeps |Cc y| <= FEAS_TOL there.  Then the extreme rays of the pointed
-    part, the cone within the row space of Cc (rank r): a pointed cone
-    other than {0} has an extreme ray, a unit null vector u of r - 1
-    independent rows, so every (r - 1)-row subset offers its u and -u,
-    taken when they lie in the cone.  The last column of a complete QR of
-    the subset's transpose is a unit vector orthogonal to all its rows,
-    whatever the subset's rank; rank-deficient subsets can add rays that
-    are not extreme, never a point outside the cone.
-    """
-    m, d = Cc.shape
-    rank, Vt = _svd_rank(Cc, FEAS_TOL / math.sqrt(max(m, 1)))
-    for v in Vt[rank:]:
-        yield v
-        yield -v
-    if rank == 0:
-        return
-    A = Cc if rank == d else Cc @ Vt[:rank].T
-    U = np.linalg.qr(A[_row_subsets(m, rank - 1)].transpose(0, 2, 1),
-                     mode="complete")[0][:, :, -1]
-    P = A @ U.T
-    pos = np.all(P >= -FEAS_TOL, axis=0)
-    neg = np.all(P <= FEAS_TOL, axis=0)
-    if rank < d:
-        U = U @ Vt[:rank]
-    for k in np.flatnonzero(pos | neg):
-        if pos[k]:
-            yield U[k]
-        if neg[k]:
-            yield -U[k]
-
-
 @functools.lru_cache(maxsize=None)
 def _row_subsets(m, k):
     """Index array of all k-subsets of range(m), in lexicographic order."""
@@ -195,31 +165,36 @@ def _row_subsets(m, k):
 
 
 def _nonzero_in_cone(N, Cc):
-    """A nonzero z = N y with Cc y >= 0, or None if only y = 0 qualifies.
+    """A nonzero z = N y with Cc y >= 0, y a unit generator of the cone, or
+    None if only y = 0 qualifies; (N, Cc) is the reduction made by _reduce.
 
-    (N, Cc) is the reduction of {E z = 0, C z >= 0} made by _reduce.
+    Below full rank, y is the first basis vector of the lineality space
+    {Cc y = 0} from one SVD: unit rows bound the largest singular value by
+    sqrt(rows), so the rank cutoff keeps |Cc y| <= FEAS_TOL.  At full rank r
+    the cone is pointed, and unless it is {0} it has an extreme ray, a unit
+    null vector u of r - 1 rows: the last column of a complete QR of each
+    (r - 1)-row subset's transpose (rank-deficient subsets give rays that
+    need not be extreme, never a point outside the cone), and y is the first
+    of +-u in the cone.  One point is all either certificate needs: a
+    multiplier fails NNAMCQ, and a critical direction settles FOSCMS.
     """
-    if N.shape[1] == 0:
+    d = N.shape[1]
+    if d == 0:
         return None
-    y = next(_cone_rays(Cc), None)
-    return None if y is None else N @ y
-
-
-def _cone_generators(N, Cc):
-    """The distinct rays of the reduced cone N {Cc y >= 0}, plus their
-    normalised sum when it is nonzero and lies in the cone."""
-    if N.shape[1] == 0:
-        return []
-    rays = []
-    for y in _cone_rays(Cc):
-        if not any(np.dot(y, v) > 1.0 - 1e-12 for v in rays):
-            rays.append(y)
-    gens = [N @ y for y in rays]
-    mix = sum(rays, np.zeros(N.shape[1]))
-    norm = np.linalg.norm(mix)
-    if norm > 1e-9 and np.all(Cc @ (mix / norm) >= -FEAS_TOL):
-        gens.append(N @ (mix / norm))
-    return gens
+    m = Cc.shape[0]
+    rank, Vt = _svd_rank(Cc, FEAS_TOL / math.sqrt(max(m, 1)))
+    if rank < d:
+        return N @ Vt[rank]
+    U = np.linalg.qr(Cc[_row_subsets(m, rank - 1)].transpose(0, 2, 1),
+                     mode="complete")[0][:, :, -1]
+    P = Cc @ U.T
+    pos = np.all(P >= -FEAS_TOL, axis=0)
+    neg = np.all(P <= FEAS_TOL, axis=0)
+    hits = np.flatnonzero(pos | neg)
+    if not hits.size:
+        return None
+    k = hits[0]
+    return N @ (U[k] if pos[k] else -U[k])
 
 
 def _membership_residual(E, C, z):
@@ -253,9 +228,9 @@ def _multipliers(atoms, emb_rows):
 # ---------------------------------------------------------------------------
 # certificates
 
-def _certificate_setup(prob: ProblemSpec, x_bar, tol):
-    if prob.n > MAX_CERT_DIM:
-        raise CertificateError("n > %d: use empirical estimation" % MAX_CERT_DIM)
+def _certificate_setup(prob: ProblemSpec, x_bar, tol, max_dim):
+    if prob.n > max_dim:
+        raise CertificateError("n > %d: use empirical estimation" % max_dim)
     if not prob.loss.twice_differentiable:
         raise CertificateError("certificates need a twice differentiable loss")
     if not prob.penalty.separable:
@@ -277,7 +252,7 @@ def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     per combination, whether eta != 0 can satisfy
     ((H eta)_i, eta_i) in atom_i for every i.  Holds iff none can.
     """
-    x_bar, G, H, points = _certificate_setup(prob, x_bar, tol)
+    x_bar, G, H, points = _certificate_setup(prob, x_bar, tol, MAX_CERT_DIM)
     n = prob.n
     atoms = [limiting_normal_atoms(G, p, tol) for p in points]
     emb = [(H[i], np.eye(n)[i]) for i in range(n)]
@@ -301,53 +276,48 @@ def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
                              pieces_examined=examined)
 
 
+def _planar_residual(atoms, v):
+    """Membership residual of the planar vector v in its best-fitting atom."""
+    return min(_membership_residual(*(np.reshape(rows, (-1, 2)) for rows in _atom_rows(a)), v)
+               for a in atoms)
+
+
 def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateReport:
     """First-order sufficient condition for metric subregularity.
 
-    Stage 1 enumerates tangent-atom combinations for the linearized
-    critical directions w != 0 with (w_i, -(H w)_i) in T_i; an empty
-    critical cone upgrades the verdict to isolated calmness.  Stage 2
-    re-runs the multiplier test against directional limiting normal cones
-    along each critical direction (every ray of each combination's
-    critical cone, plus their normalised sum).
+    Enumerates tangent-atom combinations up to the first critical direction
+    w != 0 with (w_i, -(H w)_i) in T_i; with none, isolated calmness holds.
+    Otherwise eta = w is a directional multiplier along w (module
+    docstring): one membership check confirms it, and the report is
+    "inconclusive" with the witness [w, H w, w].  A failed check is a bug,
+    raised as RuntimeError, not a verdict.
     """
-    x_bar, G, H, points = _certificate_setup(prob, x_bar, tol)
+    x_bar, G, H, points = _certificate_setup(prob, x_bar, tol, MAX_FOSCMS_DIM)
     n = prob.n
     t_atoms = [tangent_atoms(G, p, tol) for p in points]
     emb_w = [(np.eye(n)[i], -H[i]) for i in range(n)]
     examined = 0
-    directions = []
     for _, _, N, Cc in _systems(t_atoms, emb_w):
         examined += 1
-        for w in _cone_generators(N, Cc):
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
-                continue
-            w = w / nw
-            # w and -w are kept separately: their directional cones differ
-            if not any(np.dot(w, v) > 1.0 - 1e-10 for v in directions):
-                directions.append(w)
-    if not directions:
+        w = _nonzero_in_cone(N, Cc)
+        if w is not None:
+            break
+    else:
         return CertificateReport(condition="isolated-calmness", verdict="holds",
                                  pieces_examined=examined,
                                  notes="no nonzero linearized critical direction")
-    emb_eta = [(H[i], np.eye(n)[i]) for i in range(n)]
-    for w in directions:
-        Hw = H @ w
-        d_atoms = [directional_limiting_normal_atoms(G, points[i], (w[i], -Hw[i]), tol)
-                   for i in range(n)]
-        for z, res in _multipliers(d_atoms, emb_eta):
-            examined += 1
-            if z is not None:
-                return CertificateReport(
-                    condition="FOSCMS", verdict="inconclusive",
-                    witnesses=[[w, H @ z, z]], pieces_examined=examined,
-                    notes="multiplier survives along a critical direction "
-                          "(membership residual %.2e)" % res)
-    return CertificateReport(condition="FOSCMS", verdict="holds",
-                             pieces_examined=examined,
-                             witnesses=[[w] for w in directions],
-                             notes="critical directions examined: %d" % len(directions))
+    w = w / np.linalg.norm(w)
+    Hw = H @ w
+    res = max(_planar_residual(directional_limiting_normal_atoms(G, p, (wi, -hi), tol),
+                               np.array([hi, wi])) for p, wi, hi in zip(points, w, Hw))
+    if res > FEAS_TOL:
+        raise RuntimeError("eta = w = %s is no directional multiplier (membership "
+                           "residual %.2e)" % (w.tolist(), res))
+    return CertificateReport(
+        condition="FOSCMS", verdict="inconclusive",
+        witnesses=[[w, Hw, w]], pieces_examined=examined,
+        notes="eta = w is a multiplier along the critical direction w "
+              "(membership residual %.2e)" % res)
 
 
 AFFINE_GRADIENT_FAMILIES = ("quadratic", "structured-composite")

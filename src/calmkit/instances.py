@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog, minimize
 
 from .core import ProblemSpec
 from .losses import Box, ExponentialLoss, LogisticLoss, StructuredCompositeLoss
@@ -96,23 +96,39 @@ SCENARIOS = {
 }
 
 
+def _minimizer_within_reach(loss: ExponentialLoss, box: Box) -> bool:
+    """Whether the loss has a minimizer within the box's diameter of the box,
+    where PG's Lipschitz-box guard lets iterates go.  Separable data (M x >= 0
+    and M x != 0 for some x, M = diag(d) C) leave it without a minimizer."""
+    M = loss.d[:, None] * loss.C
+    if -linprog(-M.sum(axis=0), A_ub=-M, b_ub=np.zeros(len(M)), bounds=(-1.0, 1.0)).fun > 1e-9:
+        return False
+    res = minimize(loss.value, np.zeros(loss.n), jac=loss.gradient, hess=loss.hessian,
+                   method="trust-exact")
+    return bool(res.success) and box.distance(res.x) <= box.diameter()
+
+
 def scenario_instance(case: int, seed: int = 0, n: int = 4, rows: int = 12):
     """Random instance of one of the four loss/penalty scenarios.
 
     Returns (prob, box, x0): the box scopes the Lipschitz bound for the
-    exponential loss and is None for the logistic one.
+    exponential loss and is None for the logistic one.  Exponential data
+    are drawn again from the same generator until _minimizer_within_reach.
     """
     if case not in SCENARIOS:
         raise ValueError("scenario case must be one of %s" % sorted(SCENARIOS))
     loss_fam, pen_fam = SCENARIOS[case]
     rng = np.random.default_rng(seed)
-    C = rng.normal(scale=0.25, size=(rows, n))
-    d = rng.choice([-1.0, 1.0], size=rows)
-    if loss_fam == "logistic":
-        loss, box = LogisticLoss(C, d), None
-    else:
+    while True:
+        C = rng.normal(scale=0.25, size=(rows, n))
+        d = rng.choice([-1.0, 1.0], size=rows)
+        if loss_fam == "logistic":
+            loss, box = LogisticLoss(C, d), None
+            break
         # keep the box tight so the box-scoped Lipschitz bound stays usable
         loss, box = ExponentialLoss(C, d), Box.cube(n, -2.0, 2.0)
+        if _minimizer_within_reach(loss, box):
+            break
     lam = 0.15
     penalty = ScadPenalty(lam, 3.7) if pen_fam == "scad" else McpPenalty(lam, 2.5)
     x0 = rng.normal(scale=0.3, size=n)

@@ -123,8 +123,9 @@ EXAMPLE_5_1_REPORTS = {
          "nonzero multiplier (xi, eta); membership residual 0.00e+00"),
         [[[-0.5643823935199818, 0.49999999999999994], [0.0, 1.0]]]),
     ("case-ii-degenerate", "foscms"): (
-        ("inconclusive", "FOSCMS", 3,
-         "multiplier survives along a critical direction (membership residual 0.00e+00)"),
+        ("inconclusive", "FOSCMS", 2,
+         "eta = w is a multiplier along the critical direction w "
+         "(membership residual 0.00e+00)"),
         [[[0.0, 1.0], [-0.5643823935199818, 0.49999999999999994], [0.0, 1.0]]]),
     ("case-iii", "nnamcq"): (("holds", "NNAMCQ", 1, ""), []),
     ("case-iii", "foscms"): (("holds", "isolated-calmness", 1,
@@ -148,11 +149,14 @@ def test_example_5_1_reports_are_pinned():
 
 
 def test_nnamcq_implies_foscms():
+    # a critical direction w would make (H w, w) a nonzero NNAMCQ multiplier,
+    # so NNAMCQ holding leaves the critical cone {0}: isolated calmness
     for case in example_5_1_cases():
         n_rep = check_nnamcq(case.prob, case.z_bar)
         if n_rep.verdict == "holds":
             f_rep = check_foscms(case.prob, case.z_bar)
             assert f_rep.verdict == "holds"
+            assert f_rep.condition == "isolated-calmness"
 
 
 def test_certificates_reject_non_stationary_points():
@@ -182,11 +186,23 @@ def test_certificates_reject_untwice_differentiable_loss():
         check_nnamcq(prob, np.zeros(2))
 
 
+def _l1_origin(n):
+    return ProblemSpec(n, QuadraticLoss(np.eye(n), np.zeros(n)), L1Penalty(1.0))
+
+
 def test_certificates_reject_high_dimension():
-    n = 9
-    prob = ProblemSpec(n, QuadraticLoss(np.eye(n), np.zeros(n)), L1Penalty(1.0))
+    # NNAMCQ enumerates 3^n multiplier systems and stops above n = 8; FOSCMS
+    # enumerates 2^n tangent systems and stops above n = 12
     with pytest.raises(CertificateError, match="empirical"):
-        check_nnamcq(prob, np.zeros(n))
+        check_nnamcq(_l1_origin(9), np.zeros(9))
+    with pytest.raises(CertificateError, match="empirical"):
+        check_foscms(_l1_origin(13), np.zeros(13))
+
+
+def test_foscms_runs_above_the_nnamcq_cap():
+    for n in (9, 12):
+        rep = check_foscms(_l1_origin(n), np.zeros(n))
+        assert (rep.verdict, rep.condition) == ("holds", "isolated-calmness")
 
 
 # ---------------------------------------------------------------------------
@@ -461,51 +477,53 @@ def _random_cone(rng, kind):
 
 @pytest.mark.parametrize("kind", ["pointed", "lineality", "full", "zero"])
 def test_cone_generators_generate_their_cone(kind):
-    # a functional is positive somewhere on the cone (an LP over the cone and
-    # the box) exactly when it is positive on one of the generators.  Half
-    # of the functionals are combinations of the rows, which vanish on the
-    # lineality space, so that they probe the pointed part as well.
-    from calmkit.calmness import FEAS_TOL, _cone_generators, _reduce
+    # _nonzero_in_cone returns one generator of its cone: None exactly when
+    # the box LP finds only zero, else a unit vector of the cone.  Below full
+    # rank that vector spans part of the lineality space (it comes before
+    # any QR); at full rank it is an extreme ray, where the active rows have
+    # rank d - 1.
+    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
     rng = np.random.default_rng(zlib.crc32(("generators-" + kind).encode()))
     for _ in range(50):
         E, C = _random_cone(rng, kind)
-        gens = _cone_generators(*_reduce(E, C)[2:])
+        N, Cc = _reduce(E, C)[2:]
+        z = _nonzero_in_cone(N, Cc)
+        assert (z is not None) == _box_lp_has_nonzero(E, C)
+        if z is None:
+            assert kind == "zero"
+            continue
+        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
         En = E / np.linalg.norm(E, axis=1, keepdims=True)
         Cn = C / np.linalg.norm(C, axis=1, keepdims=True)
-        for g in gens:
-            assert np.all(np.abs(En @ g) <= FEAS_TOL)
-            assert np.all(Cn @ g >= -FEAS_TOL)
-        for j in range(20):
-            if j % 2:
-                c = (C.T @ (rng.standard_normal(C.shape[0]) - 0.5)
-                     + E.T @ rng.standard_normal(E.shape[0]))
-            else:
-                c = rng.standard_normal(E.shape[1])
-            assert (_box_lp_max(c, E, C) > 1e-7) == any(c @ g > FEAS_TOL for g in gens)
-        if kind == "zero":
-            assert not gens
+        assert np.all(np.abs(En @ z) <= FEAS_TOL)
+        assert np.all(Cn @ z >= -FEAS_TOL)
+        d = N.shape[1]
+        active = Cn[np.abs(Cn @ z) <= FEAS_TOL]
+        rank = np.linalg.matrix_rank(Cn, tol=FEAS_TOL) if len(Cn) else 0
+        if rank < d:
+            assert len(active) == len(Cn)
+        else:
+            assert (np.linalg.matrix_rank(active, tol=FEAS_TOL) if len(active) else 0) == d - 1
 
 
 def test_cone_generators_on_hand_made_cones():
-    from calmkit.calmness import _cone_generators, _reduce
+    from calmkit.calmness import _nonzero_in_cone, _reduce
 
-    def generators(C, d):
+    def generator(C, d):
         C = np.asarray(C, dtype=float).reshape(-1, d)
-        gens = _cone_generators(*_reduce(np.zeros((0, d)), C)[2:])
-        return sorted(np.round(g, 12).tolist() for g in gens)
+        z = _nonzero_in_cone(*_reduce(np.zeros((0, d)), C)[2:])
+        return None if z is None else np.round(z, 12).tolist()
 
-    e = np.eye(3).tolist()
-    # the orthant, each row twice: its three edges once each, plus their sum
-    mid = [round(1 / math.sqrt(3), 12)] * 3
-    assert generators(np.vstack([np.eye(3), np.eye(3)]), 3) == sorted(e + [mid])
-    # the half-plane y2 >= 0: +-(1, 0) spans its lineality space, (0, 1) is
-    # the ray of its pointed part and also the sum
-    assert generators([[0, 1]], 2) == [[-1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [1.0, 0.0]]
-    # the line y1 = y2, the whole plane, and {0}
+    # the orthant, each row twice: pointed, so the edge that the first two
+    # rows leave
+    assert generator(np.vstack([np.eye(3), np.eye(3)]), 3) == [0.0, 0.0, 1.0]
+    # the half-plane y2 >= 0 and the line y1 = y2: their lineality spaces
+    assert generator([[0, 1]], 2) in ([1.0, 0.0], [-1.0, 0.0])
     s = round(1 / math.sqrt(2), 12)
-    assert generators([[1, -1], [-1, 1]], 2) == [[-s, -s], [s, s]]
-    assert generators([], 2) == [[-1.0, 0.0], [0.0, -1.0], [0.0, 1.0], [1.0, 0.0]]
-    assert generators([[1, 0], [0, 1], [-1, -1]], 2) == []
+    assert generator([[1, -1], [-1, 1]], 2) in ([s, s], [-s, -s])
+    # the whole plane, and {0}
+    assert generator([], 2) == [1.0, 0.0]
+    assert generator([[1, 0], [0, 1], [-1, -1]], 2) is None
 
 
 def test_svd_rank_follows_the_null_space_rule_of_scipy():
@@ -613,11 +631,11 @@ def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
 # over eta (and w) then provides an enumeration-free referee for the
 # exhaustive atom-combination engine.
 
-def _random_stationary_instance(rng, penalty):
-    from calmkit.penalties import IntervalSet
-    n = 2
-    Q = rng.normal(size=(n, n))
-    Q = 0.5 * (Q + Q.T)
+def _random_stationary_instance(rng, penalty, Q=None):
+    if Q is None:
+        Q = rng.normal(size=(2, 2))
+        Q = 0.5 * (Q + Q.T)
+    n = len(Q)
     x_bar = np.empty(n)
     targets = np.empty(n)
     bps = penalty.breakpoints() + [0.0]
@@ -709,3 +727,105 @@ def test_foscms_stage1_matches_angular_sweep(family):
             assert not sweep_critical, (prob.loss.Q, prob.loss.q, x_bar)
         if sweep_critical:
             assert rep.condition != "isolated-calmness"
+
+
+# ---------------------------------------------------------------------------
+# FOSCMS: the critical cone decides it
+
+def _stationary_instances(seed, count):
+    """Random stationary instances at n = 2..6 over l1, SCAD(1, 3) and
+    MCP(1, 2), with positive definite, indefinite and rank-1 Q in turn."""
+    from calmkit.penalties import McpPenalty
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 2 + k % 5
+        penalty = (L1Penalty(1.0), ScadPenalty(1.0, 3.0), McpPenalty(1.0, 2.0))[k // 5 % 3]
+        A = rng.standard_normal((n, n))
+        Q = (A @ A.T / n + 0.1 * np.eye(n), 0.5 * (A + A.T), np.outer(A[0], A[0]))[k // 15 % 3]
+        yield _random_stationary_instance(rng, penalty, Q)
+
+
+def _certify_workload_instances():
+    """The certify-n6 benchmark instances (and their n = 4 variants), with
+    the verdicts that perfbench/certify_reference.json pins for them."""
+    import importlib.util
+    import json
+    import os
+    import sys
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(bench, "certify_reference.json")) as fh:
+        pins = json.load(fh)
+    return [(prob, x, pins[name]["foscms"]) for n in (4, 6) for seed in range(10)
+            for name, prob, x in workloads.certify_instances(seed, n)]
+
+
+def _separable_penalties():
+    from calmkit.penalties import BoxIndicator, McpPenalty
+    return [ZeroPenalty(), L1Penalty(1.0), ScadPenalty(1.0, 3.0),
+            McpPenalty(1.0, 2.0), NegAbsPenalty(1.0), BoxIndicator(-1.0, 2.0)]
+
+
+def test_r_map_sends_tangent_directions_into_directional_normal_cones():
+    # R(a, b) = (-b, a) maps each tangent direction d of a polyline graph
+    # into the directional limiting normal cone along d: the fact that makes
+    # eta = w a multiplier along every critical direction w
+    from calmkit.graphs_cones import (directional_limiting_normal_cone,
+                                      tangent_atoms)
+    checked = 0
+    for penalty in _separable_penalties():
+        G = penalty.graph()
+        points = list(G.vertices())
+        for pc in G.pieces:
+            lo, hi = pc.t0, pc.t1
+            t = (0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi)
+                 else lo + 1.0 if math.isfinite(lo) else hi - 1.0 if math.isfinite(hi)
+                 else 0.0)
+            points.append(pc.point_at(t))
+        for p in points:
+            for atom in tangent_atoms(G, p):
+                dirs = [atom.g1] + ([(-atom.g1[0], -atom.g1[1])] if atom.kind == "line" else [])
+                for d in dirs:
+                    cone = directional_limiting_normal_cone(G, p, d)
+                    assert cone.contains_vector((-d[1], d[0])), (penalty.family, p, d)
+                    checked += 1
+    assert checked >= 40
+
+
+def test_foscms_matches_the_directional_multiplier_enumeration():
+    from foscms_reference import reference_foscms
+    from calmkit.calmness import FEAS_TOL
+    cases = [(prob, x, None) for prob, x in _stationary_instances(11, 150)]
+    cases += [(c.prob, c.z_bar, None) for c in example_5_1_cases()]
+    cases += _certify_workload_instances()
+    directions = 0
+    for prob, x_bar, pin in cases:
+        rep = check_foscms(prob, x_bar)
+        condition, verdict, w = reference_foscms(prob, x_bar)
+        assert (rep.condition, rep.verdict) == (condition, verdict)
+        if pin is not None:
+            assert pin == {"condition": rep.condition, "verdict": rep.verdict}
+        if w is None:
+            continue
+        directions += 1
+        got_w, xi, eta = (np.asarray(v) for v in rep.witnesses[0])
+        assert np.array_equal(got_w, w) and np.array_equal(eta, w)
+        assert np.array_equal(xi, prob.loss.hessian(x_bar) @ w)
+        assert float(rep.notes.rsplit("residual ", 1)[1].rstrip(")")) <= FEAS_TOL
+    assert directions >= 20
+
+
+def test_foscms_inconclusive_implies_nnamcq_does_not_hold():
+    # (H w, w) is a nonzero NNAMCQ multiplier for a critical direction w
+    inconclusive = 0
+    for prob, x_bar in _stationary_instances(12, 150):
+        if check_foscms(prob, x_bar).verdict == "inconclusive":
+            inconclusive += 1
+            assert check_nnamcq(prob, x_bar).verdict != "holds"
+    assert inconclusive >= 20
+

@@ -167,6 +167,45 @@ def test_reproduce_table_1_case_6_box_scoped(capsys):
     assert out["classification"] == "proximal"
 
 
+@pytest.mark.parametrize("case", [5, 6, 7, 8])
+def test_reproduce_table_1_runs_at_every_seed(tmp_path, case):
+    # exponential data that are separable (seed 9) or whose loss minimizer
+    # lies far outside the Lipschitz box (seed 7) are drawn again rather
+    # than driving PG out of the box (exit 3)
+    for seed in range(12):
+        out = str(tmp_path / ("t-%d.json" % seed))
+        assert main(["reproduce", "table-1", "--case", str(case), "--seed", str(seed),
+                     "--out", out]) == 0, seed
+
+
+def test_separable_exponential_data_have_no_minimizer_within_reach():
+    # along x = (1, 0) both margins are 1e-7 > 0, so the loss has no
+    # minimizer, although its gradient at 0 (norm 2e-7) passes a solver's
+    # stopping test there
+    from calmkit.instances import _minimizer_within_reach
+    from calmkit.losses import Box, ExponentialLoss
+    box = Box.cube(2, -2.0, 2.0)
+    assert not _minimizer_within_reach(
+        ExponentialLoss([[1e-7, 1.0], [1e-7, -1.0]], [1.0, 1.0]), box)
+    assert _minimizer_within_reach(
+        ExponentialLoss([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]], [1.0, 1.0, 1.0]), box)
+
+
+def test_foscms_internal_error_is_not_a_certificate_error(tmp_path, monkeypatch):
+    # eta = w failing the directional check is a bug (traceback, exit 1),
+    # not an infeasible certificate input (exit 4)
+    from calmkit.graphs_cones import Atom
+    from calmkit.instances import scad_case_ii
+    case = scad_case_ii(degenerate=True)
+    monkeypatch.setattr("calmkit.calmness.directional_limiting_normal_atoms",
+                        lambda *args, **kwargs: [Atom("zero")])
+    prob = write(tmp_path, "p.json", {"n": 2, "loss": case.prob.loss.to_json(),
+                                      "penalty": case.prob.penalty.to_json()})
+    pt = write(tmp_path, "x.json", {"x": case.z_bar.tolist()})
+    with pytest.raises(RuntimeError, match="eta = w"):
+        main(["certify", "--problem", prob, "--point", pt, "--conditions", "foscms"])
+
+
 def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch):
     # a bug inside calmkit propagates (traceback, exit 1) instead of exit 2
     def broken(*args, **kwargs):

@@ -103,6 +103,27 @@ def test_rate_fit_exact_geometric():
     assert fit.rho_hat == pytest.approx(0.5, rel=1e-6)
 
 
+def test_rate_fit_report_ignores_rounding_in_the_objectives():
+    # ulp-level changes in F move sigma_hat from about its sixth digit on:
+    # scaling the objectives of the table-1 case-8 trace by 1 + 4e-16 and
+    # 1 - 4e-16 in turn moves the attributes, not the 5-digit report
+    from calmkit.instances import scenario_instance
+    prob, box, x0 = scenario_instance(8, seed=0)
+    L = prob.loss.lipschitz_bound(box).value
+    cfg = SolverConfig(gamma=0.9 / L, max_iter=2000, stop_tol=1e-12, lipschitz_L=L,
+                       lipschitz_box=box)
+    tr = pg_solve(prob, cfg, x0)
+    base = fit_linear_rate(tr, tr.objectives[-1], tr.final)
+    assert base.to_json()["sigma_hat"] == float("%.5g" % base.sigma_hat)
+    for sign in (1.0, -1.0):
+        scaled = IterateTrace(prob.n)
+        for k, (x, F, r) in enumerate(zip(tr.points, tr.objectives, tr.residuals)):
+            scaled.append(x, F * (1.0 + sign * (-1) ** k * 4e-16), r)
+        fit = fit_linear_rate(scaled, scaled.objectives[-1], scaled.final)
+        assert fit.sigma_hat != base.sigma_hat
+        assert fit.to_json() == base.to_json()
+
+
 def test_predicted_sigma_formula():
     # kappa1 = 1, kappa2 = 5.5, kappa = 1 -> 1/(1 + 1/11) = 11/12
     assert predicted_sigma(0.25, 2.0, 1.0) == pytest.approx(11.0 / 12.0)
