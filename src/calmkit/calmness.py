@@ -4,8 +4,10 @@ calmness-modulus estimation for the canonically and PG-perturbed maps.
 The multiplier systems of the separable criteria constrain, per coordinate,
 the planar vector ((H eta)_i, eta_i) (or (w_i, -(H w)_i) for critical
 directions) to an atom of a normal (or tangent) cone.  Each atom reduces to
-at most two linear equality/inequality rows; _nonzero_in_cone decides, in
-any dimension and without an LP, whether the cone they cut out is {0}.
+at most two linear equality/inequality rows, mapped into z-space once per
+atom; a combination stacks one such block per coordinate, and
+_nonzero_in_cone decides, in any dimension and without an LP, whether the
+cone they cut out is {0}.
 
 R(a, b) = (-b, a) maps the tangent embedding (w_i, -(H w)_i) onto the
 multiplier embedding ((H w)_i, w_i), and a tangent direction along a piece
@@ -103,21 +105,14 @@ def _atom_rows(atom: Atom):
     return [], [(-g1[1], g1[0]), (g2[1], -g2[0])]
 
 
-def _assemble(combo, emb_rows):
-    """Stack constraint rows in z-space for one atom combination.
-
-    emb_rows[i] = (r_s, r_t): planar embedding v_i(z) = (r_s . z, r_t . z).
-    """
-    eqs, ineqs = [], []
-    for atom, (r_s, r_t) in zip(combo, emb_rows):
-        e, q = _atom_rows(atom)
-        for c in e:
-            eqs.append(c[0] * r_s + c[1] * r_t)
-        for c in q:
-            ineqs.append(c[0] * r_s + c[1] * r_t)
-    E = np.array(eqs) if eqs else np.zeros((0, len(emb_rows[0][0])))
-    C = np.array(ineqs) if ineqs else np.zeros((0, len(emb_rows[0][0])))
-    return E, C
+def _coordinate_rows(atoms, r_s, r_t):
+    """Rows (E, C) in z-space of each atom of one coordinate, whose planar
+    vector is v(z) = (r_s . z, r_t . z)."""
+    blocks = []
+    for atom in atoms:
+        E, C = (np.reshape(rows, (-1, 2)) for rows in _atom_rows(atom))
+        blocks.append((E[:, :1] * r_s + E[:, 1:] * r_t, C[:, :1] * r_s + C[:, 1:] * r_t))
+    return blocks
 
 
 def _normalize_rows(M):
@@ -208,9 +203,11 @@ def _membership_residual(E, C, z):
 
 
 def _systems(atoms, emb_rows):
-    """Reduce the system of each combination of one atom per coordinate."""
-    for combo in itertools.product(*atoms):
-        yield _reduce(*_assemble(combo, emb_rows))
+    """Reduce the system of each combination of one atom per coordinate,
+    stacking rows that are built once per atom."""
+    blocks = [_coordinate_rows(a, r_s, r_t) for a, (r_s, r_t) in zip(atoms, emb_rows)]
+    for combo in itertools.product(*blocks):
+        yield _reduce(np.vstack([E for E, _ in combo]), np.vstack([C for _, C in combo]))
 
 
 def _multipliers(atoms, emb_rows):

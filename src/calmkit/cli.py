@@ -260,18 +260,25 @@ def cmd_reproduce(args) -> int:
         cfg = SolverConfig(gamma=gamma, max_iter=args.max_iter, stop_tol=1e-12,
                            lipschitz_L=L, lipschitz_box=box)
         tr = pg_solve(prob, cfg, x0)
+        # pg_solve stops early exactly when its last step met stop_tol
+        converged = len(tr) > 1 and float(np.linalg.norm(tr.perturbations[-1])) <= cfg.stop_tol
         rep = {"case": args.case, "L": L, "L_scope": "box" if box else "global",
-               "gamma": gamma, "iterations": len(tr) - 1,
+               "gamma": gamma, "iterations": len(tr) - 1, "converged": converged,
                "final_F": tr.objectives[-1],
                "final_residual": tr.residuals[-1],
                "classification": diagnostics.classify_stationarity(prob, tr.final, 1e-6),
                "sufficient_descent": diagnostics.verify_sufficient_descent(
                    tr, gamma, L).to_json()}
-        try:
-            fit = diagnostics.fit_linear_rate(tr, tr.objectives[-1], tr.final)
-            rep["rate_fit"] = fit.to_json()
-        except ValueError as exc:
-            rep["rate_fit"] = {"skipped": str(exc)}
+        if not converged:
+            rep["rate_fit"] = {"skipped": "PG reached --max-iter %d before a step of at "
+                                          "most %g; no rate is fitted to the transient"
+                                          % (args.max_iter, cfg.stop_tol)}
+        else:
+            try:
+                fit = diagnostics.fit_linear_rate(tr, tr.objectives[-1], tr.final)
+                rep["rate_fit"] = fit.to_json()
+            except ValueError as exc:
+                rep["rate_fit"] = {"skipped": str(exc)}
         _emit(rep, args.out)
         return 0
     raise ConfigError("unknown reproduce target %r" % args.what)

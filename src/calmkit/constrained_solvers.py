@@ -18,6 +18,7 @@ from .losses import Box, operator_norm
 from .penalties import Penalty, _sum, penalty_from_json
 
 CONVEX_FAMILIES = ("l1", "group-lasso", "box-indicator", "zero")
+CHECK_TOL = 1e-8   # KKT inclusion residual that counts as a check passed
 
 
 class ConvexTerm:
@@ -105,9 +106,8 @@ class SaddleProblem:
 class KKTTrace:
     """Triples/pairs with perturbations, H-mapped perturbations and residuals."""
 
-    def __init__(self, blocks, check_tol=1e-8):
+    def __init__(self, blocks):
         self.blocks = blocks               # e.g. ('x', 'y', 'lambda')
-        self.check_tol = check_tol
         self.iterates: list[tuple] = []
         self.perturbations: list[tuple | None] = []
         self.mapped: list[tuple | None] = []       # H p^k per block
@@ -119,7 +119,7 @@ class KKTTrace:
         self.perturbations.append(perturbation)
         self.mapped.append(mapped)
         self.inclusion_residuals.append(float(residual))
-        self.inclusion_flags.append(float(residual) <= self.check_tol)
+        self.inclusion_flags.append(float(residual) <= CHECK_TOL)
 
     def __len__(self):
         return len(self.iterates)
@@ -185,7 +185,7 @@ def _x_step_solver(term: ConvexTerm, M, box):
 
 
 def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
-                 cfg: SolverConfig, start, check_tol: float = 1e-8) -> KKTTrace:
+                 cfg: SolverConfig, start) -> KKTTrace:
     """Generalized proximal ADMM with per-iteration KKT perturbation checks.
 
     Each step verifies
@@ -209,7 +209,7 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
     y_solve = _x_step_solver(prob.theta2, beta * B.T @ B + D2, prob.Y)
 
     x, y, lam = (np.array(v, dtype=float) for v in start)
-    tr = KKTTrace(("x", "y", "lambda"), check_tol)
+    tr = KKTTrace(("x", "y", "lambda"))
     tr.append((x, y, lam))
     for _ in range(cfg.max_iter):
         rhs_x = A.T @ lam - beta * A.T @ (B @ y - b) + D1 @ x
@@ -237,7 +237,7 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
 # PDHG
 
 def pdhg_solve(prob: SaddleProblem, tau: float, sigma: float, cfg: SolverConfig,
-               start, check_tol: float = 1e-8, theory_mode: bool = True) -> KKTTrace:
+               start, theory_mode: bool = True) -> KKTTrace:
     """Primal-dual hybrid gradient with the optimality-inclusion check.
 
     Steps: x+ = Prox_phi1^tau(x - tau K^T y); y+ = Prox_phi2^sigma(y + sigma
@@ -257,7 +257,7 @@ def pdhg_solve(prob: SaddleProblem, tau: float, sigma: float, cfg: SolverConfig,
     x_solve = _x_step_solver(prob.phi1, np.eye(prob.phi1.n) / tau, None)
     y_solve = _x_step_solver(prob.phi2, np.eye(prob.phi2.n) / sigma, None)
     x, y = (np.array(v, dtype=float) for v in start)
-    tr = KKTTrace(("x", "y"), check_tol)
+    tr = KKTTrace(("x", "y"))
     tr.append((x, y))
     for _ in range(cfg.max_iter):
         x_new = x_solve((x - tau * (K.T @ y)) / tau)

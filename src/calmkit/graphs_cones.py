@@ -3,8 +3,15 @@
 A subdifferential graph is stored as a union of line pieces (segments or
 rays).  Tangent, regular normal, limiting normal and directional limiting
 normal cones at a point of the graph are all finite unions of polyhedral
-cones in R^2, represented canonically as angular arcs so that equality is
-decidable.
+cones in R^2, represented canonically as merged angular arcs so that
+equality and containment are decided exactly.
+
+classify_point sees every graph point as a vertex with incident half-pieces;
+a segment-interior point has two, along u and -u.  Each cone is built once,
+from its atom routine: tangent_atoms, limiting_normal_atoms and
+directional_limiting_normal_atoms list convex atoms, _uncovered drops every
+atom that lies inside another, and the cone is ConeUnion2.from_atoms of the
+list.  The regular normal cone is the polar of the half-piece directions.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-10  # canonical-form comparison tolerance (radians)
+DIR_TOL = 1e-9     # a direction follows a half-piece within this, per component
 
 
 class GraphPointError(ValueError):
@@ -177,6 +185,17 @@ def _atom_arcs(atom: Atom):
     return [(a1, a1 + width)]
 
 
+def _arcs_within(arcs, others, tol):
+    """Whether each arc lies within tol inside one arc of others."""
+    for s, e in arcs:
+        for s2, e2 in others:
+            if e2 - s2 >= TWO_PI - tol or (s - s2 + tol) % TWO_PI + e - s <= e2 - s2 + 2.0 * tol:
+                break
+        else:
+            return False
+    return True
+
+
 class ConeUnion2:
     """Finite union of polyhedral cones in the plane, canonical angular form.
 
@@ -282,14 +301,9 @@ class ConeUnion2:
         return ConeUnion2(list(self.arcs) + list(other.arcs))
 
     def subset_of(self, other: "ConeUnion2", tol=1e-9) -> bool:
-        for s, e in self.arcs:
-            # endpoints plus midpoints of each sub-interval cut by the other cone
-            probes = [s, e, 0.5 * (s + e)]
-            k = max(2, int((e - s) / 1e-3))
-            probes.extend(s + (e - s) * i / k for i in range(k + 1))
-            if not all(other.contains_angle(a, tol) for a in probes):
-                return False
-        return True
+        """Exact containment: canonical arcs are merged, so a connected arc
+        inside their union lies (within tol) inside one of them."""
+        return _arcs_within(self.arcs, other.arcs, tol)
 
     def equals(self, other: "ConeUnion2", tol=ANGLE_TOL) -> bool:
         if len(self.arcs) != len(other.arcs):
@@ -359,10 +373,14 @@ def polar_of_directions(dirs, tol=ANGLE_TOL) -> ConeUnion2:
     """Polar cone {v : <v, d> <= 0 for all d} of a finite set of directions.
 
     Intersection of closed half-circles; the result is a single convex cone
-    (possibly zero, a ray, a line, a sector or a half-plane).
+    (possibly zero, a ray, a line, a sector or a half-plane).  Two opposite
+    directions u, -u (the half-pieces at a segment-interior point) give the
+    normal line of u exactly, not as the overlap of two half-circles.
     """
     if not dirs:
         return ConeUnion2.full()
+    if len(dirs) == 2 and dirs[1] == (-dirs[0][0], -dirs[0][1]):
+        return ConeUnion2.line((-dirs[0][1], dirs[0][0]))
     arcs = [(0.0, TWO_PI)]
     for d in dirs:
         a = _angle(_unit(d))
@@ -397,18 +415,14 @@ class Classification:
 def classify_point(G: PolylineGraph, p, tol=1e-10) -> Classification:
     """Locate p on the graph: interior of a piece, or a vertex with its incident pieces."""
     hits = []
-    best = None
     for pc in G.pieces:
         t = pc.project_param(p)
         q = pc.point_at(t)
-        d = math.hypot(p[0] - q[0], p[1] - q[1])
-        if d <= tol:
+        if math.hypot(p[0] - q[0], p[1] - q[1]) <= tol:
             hits.append((pc, t, q))
-        if best is None or d < best[0]:
-            best = (d, q)
     if not hits:
-        raise GraphPointError(
-            "point (%g, %g) not on graph (distance %g)" % (p[0], p[1], best[0]))
+        raise GraphPointError("point (%g, %g) not on graph (distance %g)"
+                              % (p[0], p[1], G.distance(p)))
     snapped = hits[0][2]
     # snap tolerance in parameter space, per piece
     interior_hits, endpoint_hits = [], []
@@ -422,9 +436,10 @@ def classify_point(G: PolylineGraph, p, tol=1e-10) -> Classification:
         else:
             interior_hits.append((pc, t))
     if interior_hits and not endpoint_hits:
+        # two incident half-pieces, along u and -u
         pc, t = interior_hits[0]
         u = pc.unit_direction()
-        return Classification("segment-interior", snapped, [pc], [u, (-u[0], -u[1])])
+        return Classification("segment-interior", snapped, [pc, pc], [u, (-u[0], -u[1])])
     # vertex: outgoing direction per incident piece
     pieces, outs = [], []
     for pc, t in endpoint_hits:
@@ -440,117 +455,82 @@ def classify_point(G: PolylineGraph, p, tol=1e-10) -> Classification:
 # ---------------------------------------------------------------------------
 # cone operations
 
+def tangent_atoms(G: PolylineGraph, p, tol=1e-10):
+    """Tangent cone as convex atoms: one ray per incident half-piece, with
+    opposite rays joined into a line."""
+    dirs = classify_point(G, p, tol).out_directions
+    atoms, mates = [], set()
+    for i, u in enumerate(dirs):
+        if i in mates:
+            continue
+        mate = next((j for j in range(i + 1, len(dirs)) if j not in mates
+                     and abs(u[0] + dirs[j][0]) < 1e-12 and abs(u[1] + dirs[j][1]) < 1e-12),
+                    None)
+        mates.add(mate)
+        atoms.append(atom_ray(u) if mate is None else atom_line(u))
+    return atoms
+
+
 def tangent_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
     """Bouligand tangent cone to the graph at p."""
-    cl = classify_point(G, p, tol)
-    if cl.kind == "segment-interior":
-        return ConeUnion2.line(cl.pieces[0].unit_direction())
-    return ConeUnion2.from_directions(cl.out_directions)
-
-
-def tangent_atoms(G: PolylineGraph, p, tol=1e-10):
-    """Tangent cone as a list of convex atoms (a line, or one ray per incident piece)."""
-    cl = classify_point(G, p, tol)
-    if cl.kind == "segment-interior":
-        return [atom_line(cl.pieces[0].unit_direction())]
-    atoms = []
-    dirs = list(cl.out_directions)
-    used = [False] * len(dirs)
-    for i, u in enumerate(dirs):
-        if used[i]:
-            continue
-        line_mate = None
-        for j in range(i + 1, len(dirs)):
-            if not used[j] and abs(u[0] + dirs[j][0]) < 1e-12 and abs(u[1] + dirs[j][1]) < 1e-12:
-                line_mate = j
-                break
-        if line_mate is not None:
-            used[i] = used[line_mate] = True
-            atoms.append(atom_line(u))
-        else:
-            used[i] = True
-            atoms.append(atom_ray(u))
-    return atoms
+    return ConeUnion2.from_atoms(tangent_atoms(G, p, tol))
 
 
 def regular_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
     """Regular (Frechet) normal cone: polar of the tangent cone."""
-    cl = classify_point(G, p, tol)
-    if cl.kind == "segment-interior":
-        d = cl.pieces[0].unit_direction()
-        return ConeUnion2.line((-d[1], d[0]))
-    return polar_of_directions(cl.out_directions)
+    return polar_of_directions(classify_point(G, p, tol).out_directions)
+
+
+def _normal_line(pc: Piece) -> Atom:
+    d = pc.unit_direction()
+    return atom_line((-d[1], d[0]))
+
+
+def _uncovered(atoms):
+    """The atoms that lie inside no other atom; of equal atoms, the first."""
+    arcs = [_atom_arcs(a) for a in atoms]
+    out = []
+    for i, x in enumerate(arcs):
+        for j, y in enumerate(arcs):
+            if j != i and _arcs_within(x, y, 1e-12) and (j < i or not _arcs_within(y, x, 1e-12)):
+                break
+        else:
+            out.append(atoms[i])
+    return out
 
 
 def limiting_normal_atoms(G: PolylineGraph, p, tol=1e-10):
-    """Limiting normal cone as convex atoms: incident normal lines plus the vertex's regular cone."""
+    """Limiting normal cone as convex atoms: the normal line of each incident
+    piece and the regular cone, less the atoms that another one covers."""
     cl = classify_point(G, p, tol)
-    atoms = []
-    for pc in cl.pieces:
-        d = pc.unit_direction()
-        atoms.append(atom_line((-d[1], d[0])))
-    if cl.kind == "vertex":
-        reg = polar_of_directions(cl.out_directions)
-        if not reg.is_zero:
-            for a in reg.to_atoms():
-                atoms.append(a)
-    # drop atoms contained in another atom (keeps combination counts small)
-    cones = [ConeUnion2.from_atoms([a]) for a in atoms]
-    out = []
-    for i, a in enumerate(atoms):
-        covered = False
-        for j in range(len(atoms)):
-            if j == i:
-                continue
-            if cones[i].subset_of(cones[j], tol=1e-12):
-                if cones[j].subset_of(cones[i], tol=1e-12) and j > i:
-                    continue  # equal atoms: keep the first occurrence
-                covered = True
-                break
-        if not covered:
-            out.append(a)
-    return out
+    lines = [_normal_line(pc) for pc in dict.fromkeys(cl.pieces)]
+    regular = polar_of_directions(cl.out_directions)
+    if any(_arcs_within(regular.arcs, _atom_arcs(a), 1e-12) for a in lines):
+        return _uncovered(lines)   # inside one line, every regular atom is covered
+    return _uncovered(lines + regular.to_atoms())
 
 
 def limiting_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
     return ConeUnion2.from_atoms(limiting_normal_atoms(G, p, tol))
 
 
-def directional_limiting_normal_atoms(G: PolylineGraph, p, d, tol=1e-10,
-                                      dir_tol=1e-9):
+def directional_limiting_normal_atoms(G: PolylineGraph, p, d, tol=1e-10):
     """Directional limiting normal cone in direction d, as convex atoms.
 
     d = 0 gives the limiting cone; d outside the tangent cone gives {0};
-    d along an incident piece gives that piece's normal line (polyline
+    d along an incident half-piece gives that piece's normal line (polyline
     geometry: points p + td eventually lie in that piece's relative
     interior).
     """
     nd = math.hypot(d[0], d[1])
-    if nd <= dir_tol:
+    if nd <= DIR_TOL:
         return limiting_normal_atoms(G, p, tol)
     u = (d[0] / nd, d[1] / nd)
     cl = classify_point(G, p, tol)
-    atoms = []
-    for pc, out in zip(cl.pieces, cl.out_directions):
-        cands = [out] if cl.kind == "vertex" else [out, (-out[0], -out[1])]
-        for c in cands:
-            if abs(u[0] - c[0]) <= dir_tol and abs(u[1] - c[1]) <= dir_tol:
-                dd = pc.unit_direction()
-                atoms.append(atom_line((-dd[1], dd[0])))
-                break
-    if not atoms:
-        return [Atom("zero")]
-    # dedupe equal lines
-    out_atoms = []
-    for a in atoms:
-        if not any(b.kind == a.kind and abs(b.g1[0] - a.g1[0]) < 1e-12
-                   and abs(b.g1[1] - a.g1[1]) < 1e-12 for b in out_atoms):
-            out_atoms.append(a)
-    return out_atoms
+    lines = [_normal_line(pc) for pc, out in zip(cl.pieces, cl.out_directions)
+             if abs(u[0] - out[0]) <= DIR_TOL and abs(u[1] - out[1]) <= DIR_TOL]
+    return _uncovered(lines) or [Atom("zero")]
 
 
 def directional_limiting_normal_cone(G: PolylineGraph, p, d, tol=1e-10) -> ConeUnion2:
-    atoms = directional_limiting_normal_atoms(G, p, d, tol)
-    if len(atoms) == 1 and atoms[0].kind == "zero":
-        return ConeUnion2.zero()
-    return ConeUnion2.from_atoms(atoms)
+    return ConeUnion2.from_atoms(directional_limiting_normal_atoms(G, p, d, tol))

@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+ACCEPT_TOL = 1e-7   # exact residual at which a cell root counts as a solution
 
 
 class OracleError(RuntimeError):
@@ -169,7 +170,7 @@ def _strictly_inside(t, lo, hi):
             and (math.isinf(hi) or hi - t > 1e-12 * (1.0 + abs(hi))))
 
 
-def _solve_in_cell(penalty, target, lo, hi, limiting, accept_tol):
+def _solve_in_cell(penalty, target, lo, hi, limiting):
     """Every solution in the closed cell [lo, hi]: one root solve per
     combination of the coordinates' options, started at the cell centre."""
     found = []
@@ -192,13 +193,12 @@ def _solve_in_cell(penalty, target, lo, hi, limiting, accept_tol):
         if not all(_strictly_inside(x[i], *combo[i][:2]) for i in free):
             continue   # a root at a piece end is its breakpoint option's to accept
         res = _exact_residual(penalty, target, x, limiting)
-        if res <= accept_tol:
+        if res <= ACCEPT_TOL:
             found.append((x, res))
     return found
 
 
-def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
-                     accept_tol=1e-7, dedup_radius=None):
+def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound):
     """All x in the box with target_i(x) in subdiff(g_i)(x_i) per coordinate.
 
     target maps an (N, n) array of points to an (N, n) array of required
@@ -206,6 +206,7 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
     with a Lipschitz margin; in each candidate cell every combination of
     per-coordinate pieces and breakpoints is solved exactly, and a root is
     kept when it lies in the closed cell and passes the exact residual.
+    Roots within two cell radii of a better one are dropped.
     """
     penalty = prob.penalty
     if not penalty.separable:
@@ -251,22 +252,20 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound,
         cell = np.unravel_index(k, shape)
         lo = np.array([e[j] for e, j in zip(edges, cell)])
         hi = np.array([e[j + 1] for e, j in zip(edges, cell)])
-        found = _solve_in_cell(penalty, target, lo, hi, limiting, accept_tol)
+        found = _solve_in_cell(penalty, target, lo, hi, limiting)
         results += found
         discarded += not found
 
-    if dedup_radius is None:
-        dedup_radius = 2.0 * cell_radius
     results.sort(key=lambda t: (t[1], tuple(t[0])))
     points = []
     for x, _res in results:
-        if not any(np.linalg.norm(x - p) <= dedup_radius for p in points):
+        if not any(np.linalg.norm(x - p) <= 2.0 * cell_radius for p in points):
             points.append(x)
     points.sort(key=tuple)
     warnings = []
     if discarded:
         warnings.append("%d candidate cells discarded (no solution in the cell "
-                        "with residual at most %g)" % (discarded, accept_tol))
+                        "with residual at most %g)" % (discarded, ACCEPT_TOL))
     for p in points:
         if any(p[i] <= box_lo[i] + 2 * half[i] or p[i] >= box_hi[i] - 2 * half[i]
                for i in range(n)):
@@ -283,8 +282,7 @@ def _lipschitz_for_scan(prob, box_lo, box_hi):
     return loss.lipschitz_bound().value
 
 
-def brute_force_stationary_set(prob, box, cells=400, limiting=False,
-                               dedup_radius=None):
+def brute_force_stationary_set(prob, box, cells=400, limiting=False):
     """Proximal (or limiting) stationary points of F = f + g inside a box.
 
     box: pair of arrays (lo, hi).  Returns a StationarySetApprox backed by
@@ -296,14 +294,12 @@ def brute_force_stationary_set(prob, box, cells=400, limiting=False,
         raise OracleError("stationary-set oracle supports n <= 2 only")
     target = lambda X: -prob.loss.gradient_many(X)
     lip = _lipschitz_for_scan(prob, box_lo, box_hi)
-    pts, warnings = _membership_scan(prob, target, box_lo, box_hi, cells,
-                                     limiting, lip, dedup_radius=dedup_radius)
+    pts, warnings = _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip)
     return StationarySetApprox(points=np.array(pts).reshape(-1, prob.n),
                                radius=1e-6, method="oracle-grid", warnings=warnings)
 
 
-def brute_force_set_valued_solve(prob, map_kind, p, box, gamma=None, cells=400,
-                                 dedup_radius=None):
+def brute_force_set_valued_solve(prob, map_kind, p, box, gamma=None, cells=400):
     """Solutions of the perturbed inclusions on a box (n <= 2).
 
     map_kind 'S_cano':  p in grad f(x) + prox-subdiff g(x)
@@ -323,6 +319,5 @@ def brute_force_set_valued_solve(prob, map_kind, p, box, gamma=None, cells=400,
     else:
         raise OracleError("unknown map kind %r" % map_kind)
     lip = _lipschitz_for_scan(prob, box_lo - np.abs(p), box_hi + np.abs(p))
-    pts, _warnings = _membership_scan(prob, target, box_lo, box_hi, cells,
-                                      False, lip, dedup_radius=dedup_radius)
+    pts, _warnings = _membership_scan(prob, target, box_lo, box_hi, cells, False, lip)
     return pts

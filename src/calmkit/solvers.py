@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 from .core import ConfigError, IterateTrace, NumericAbort, ProblemSpec, SolverConfig
 from .diagnostics import residual
-from .oracle import brute_force_scalar_min
 from .penalties import _scalar_prox_candidates, select_closest
 
 
@@ -73,36 +73,32 @@ def _f_prox_exact_separable(prob, gamma, xk):
     return out
 
 
-def _f_prox_oracle(prob, gamma, xk, window, grid=1e-6):
-    """Brute-force global minimization of F(x) + ||x - xk||^2 / (2 gamma)."""
-    if prob.n == 1:
-        def fn(ts):
-            X = ts[:, None]
-            return prob.loss.value_many(X) + prob.penalty.value_many(X) \
-                + (ts - xk[0]) ** 2 / (2.0 * gamma)
-        pts, _, _ = brute_force_scalar_min(fn, xk[0] - window, xk[0] + window, grid)
-        return np.array([select_closest(pts, float(xk[0]))])
-    # n == 2: coarse grid then shrinking stencil refinement
+def _f_prox_oracle(prob, gamma, xk, window):
+    """Brute-force global minimization of F(x) + ||x - xk||^2 / (2 gamma), n <= 2.
+
+    The local minima of a grid of 201 points per axis, over their 3^n - 1
+    neighbours, are refined by a shrinking stencil; the lowest wins, ties
+    going to the point closest to xk.
+    """
+    n = prob.n
+
     def fvec(X):
         return prob.loss.value_many(X) + prob.penalty.value_many(X) \
             + np.sum((X - xk[None, :]) ** 2, axis=1) / (2.0 * gamma)
 
     cells = 201
-    ax = [np.linspace(xk[i] - window, xk[i] + window, cells) for i in range(2)]
-    G0, G1 = np.meshgrid(ax[0], ax[1], indexing="ij")
-    X = np.stack([G0.reshape(-1), G1.reshape(-1)], axis=1)
-    V = fvec(X).reshape(cells, cells)
+    ax = [np.linspace(xk[i] - window, xk[i] + window, cells) for i in range(n)]
+    X = np.stack([g.reshape(-1) for g in np.meshgrid(*ax, indexing="ij")], axis=1)
+    V = fvec(X).reshape((cells,) * n)
     h = ax[0][1] - ax[0][0]
-    # local minima over the 8-neighborhood
+    offsets = list(itertools.product((-1, 0, 1), repeat=n))
     pad = np.pad(V, 1, constant_values=np.inf)
     isloc = np.ones_like(V, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            isloc &= V <= pad[1 + di: 1 + di + cells, 1 + dj: 1 + dj + cells]
+    for off in offsets:
+        if any(off):
+            isloc &= V <= pad[tuple(slice(1 + o, 1 + o + cells) for o in off)]
     cand = X[isloc.reshape(-1)]
-    offsets = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+    stencil = np.array(offsets, dtype=float)
     refined = []
     for c in cand:
         x, r = np.array(c), h
@@ -110,7 +106,7 @@ def _f_prox_oracle(prob, gamma, xk, window, grid=1e-6):
         for _ in range(2000):
             if r <= 1e-10:
                 break
-            pts = x[None, :] + r * offsets
+            pts = x[None, :] + r * stencil
             vals = fvec(pts)
             i = int(np.argmin(vals))
             if vals[i] < best:

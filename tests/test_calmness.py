@@ -597,7 +597,7 @@ def test_extreme_ray_test_on_hand_made_cones():
 
 @pytest.mark.parametrize("name", ["l1-vertex", "scad-kink"])
 def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
-    from calmkit.calmness import _assemble, _nonzero_in_cone, _reduce
+    from calmkit.calmness import _coordinate_rows, _nonzero_in_cone, _reduce
     from calmkit.graphs_cones import limiting_normal_atoms
     n = 5
     if name == "l1-vertex":
@@ -611,9 +611,11 @@ def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
     atoms = [limiting_normal_atoms(G, (float(x_bar[i]), float(-grad[i])), 1e-8)
              for i in range(n)]
     emb = [(H[i], np.eye(n)[i]) for i in range(n)]
+    blocks = [_coordinate_rows(a, r_s, r_t) for a, (r_s, r_t) in zip(atoms, emb)]
     systems = wide = 0
-    for combo in itertools.product(*atoms):
-        E, C = _assemble(combo, emb)
+    for combo, rows in zip(itertools.product(*atoms), itertools.product(*blocks)):
+        E = np.vstack([e for e, _ in rows])
+        C = np.vstack([c for _, c in rows])
         N, Cc = _reduce(E, C)[2:]
         systems += 1
         wide += N.shape[1] >= 3 and Cc.shape[0] > 0

@@ -167,6 +167,33 @@ def test_reproduce_table_1_case_6_box_scoped(capsys):
     assert out["classification"] == "proximal"
 
 
+def test_reproduce_table_1_fits_a_rate_only_after_convergence(capsys):
+    # at the default --max-iter 2000, case 6 (seed 0) stops with residual ~1e-5
+    assert main(["reproduce", "table-1", "--case", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["iterations"] == 2000 and out["converged"] is False
+    assert list(out["rate_fit"]) == ["skipped"]
+    assert "--max-iter 2000" in out["rate_fit"]["skipped"]
+    assert main(["reproduce", "table-1", "--case", "6", "--max-iter", "6000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["converged"] is True and out["iterations"] < 6000
+    assert out["rate_fit"]["r_squared"] > 0.99
+
+
+def test_reproduce_table_1_converged_on_the_last_allowed_iteration(capsys):
+    # case 5 (seed 0) meets stop_tol at its 123rd step: one step fewer is a
+    # cut, exactly 123 is convergence
+    reports = []
+    for max_iter in ("122", "123"):
+        assert main(["reproduce", "table-1", "--case", "5", "--max-iter", max_iter]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    cut, done = reports
+    assert cut["iterations"] == 122 and cut["converged"] is False
+    assert "skipped" in cut["rate_fit"]
+    assert done["iterations"] == 123 and done["converged"] is True
+    assert "sigma_hat" in done["rate_fit"]
+
+
 @pytest.mark.parametrize("case", [5, 6, 7, 8])
 def test_reproduce_table_1_runs_at_every_seed(tmp_path, case):
     # exponential data that are separable (seed 9) or whose loss minimizer

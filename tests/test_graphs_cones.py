@@ -5,11 +5,13 @@ import pytest
 
 import cone_oracle as oracle
 from calmkit.graphs_cones import (ConeUnion2, GraphPointError, classify_point,
+                                  directional_limiting_normal_atoms,
                                   directional_limiting_normal_cone,
                                   limiting_normal_atoms, limiting_normal_cone,
                                   polar_of_directions, regular_normal_cone,
                                   tangent_atoms, tangent_cone)
-from calmkit.penalties import BoxIndicator, L1Penalty, McpPenalty, ScadPenalty
+from calmkit.penalties import (BoxIndicator, L1Penalty, McpPenalty, NegAbsPenalty,
+                               ScadPenalty, ZeroPenalty)
 
 SCAD = ScadPenalty(1.0, 3.0).graph()
 MCP = McpPenalty(1.0, 2.0).graph()
@@ -223,3 +225,54 @@ def test_cone_wrap_around_merging():
     # canonical form survives the atom round trip
     assert ConeUnion2.from_atoms(c.to_atoms()).equals(c)
     assert ConeUnion2.from_atoms(u.to_atoms()).equals(u)
+
+
+def test_subset_of_is_exact():
+    # a gap of 4e-4 rad is not covered, however fine an angular sampling is
+    whole = ConeUnion2([(0.0, 0.6)])
+    split = ConeUnion2([(0.0, 0.3), (0.3004, 0.6)])
+    assert not whole.subset_of(split)
+    assert split.subset_of(whole)
+    assert ConeUnion2([(0.1, 0.2999999999)]).subset_of(split)
+    # arcs across the zero angle, on either side
+    wrap = ConeUnion2([(6.0, 6.5)])
+    assert ConeUnion2([(0.1, 0.2)]).subset_of(wrap)
+    assert ConeUnion2([(6.1, 6.3)]).subset_of(wrap)
+    assert not ConeUnion2([(0.1, 0.3)]).subset_of(wrap)
+    assert not wrap.subset_of(ConeUnion2([(0.0, 0.2), (6.0, 6.28)]))
+    # the full plane contains everything and lies in nothing smaller
+    full, zero = ConeUnion2.full(), ConeUnion2.zero()
+    for c in (whole, split, wrap, zero, full):
+        assert c.subset_of(full)
+        assert zero.subset_of(c)
+    assert not full.subset_of(ConeUnion2([(0.0, 6.28)]))
+    assert not full.subset_of(zero)
+
+
+FAMILY_GRAPHS = ALL_GRAPHS + [("negabs", NegAbsPenalty(1.0).graph()),
+                              ("zero", ZeroPenalty().graph())]
+
+
+def _vertices_and_interior_samples(G, per_piece=7):
+    pts = list(G.vertices())
+    for pc in G.pieces:
+        t0 = pc.t0 if math.isfinite(pc.t0) else min(pc.t1, 0.0) - 3.0
+        t1 = pc.t1 if math.isfinite(pc.t1) else max(pc.t0, 0.0) + 3.0
+        pts += [pc.point_at(t0 + (t1 - t0) * k / (per_piece + 1.0))
+                for k in range(1, per_piece + 1)]
+    return pts
+
+
+@pytest.mark.parametrize("name,G", FAMILY_GRAPHS, ids=[n for n, _ in FAMILY_GRAPHS])
+def test_every_cone_is_built_from_its_atoms(name, G):
+    for p in _vertices_and_interior_samples(G):
+        assert tangent_cone(G, p).arcs == ConeUnion2.from_atoms(tangent_atoms(G, p)).arcs
+        atoms = limiting_normal_atoms(G, p)
+        for i, a in enumerate(atoms):
+            for j, b in enumerate(atoms):
+                assert i == j or not ConeUnion2.from_atoms([a]).subset_of(
+                    ConeUnion2.from_atoms([b])), (name, p, a, b)
+        dirs = classify_point(G, p).out_directions + [(0.0, 0.0), (0.55, 0.835)]
+        for d in dirs:
+            assert directional_limiting_normal_cone(G, p, d).arcs == ConeUnion2.from_atoms(
+                directional_limiting_normal_atoms(G, p, d)).arcs

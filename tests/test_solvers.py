@@ -3,7 +3,7 @@ import pytest
 
 from calmkit.core import ConfigError, NumericAbort, ProblemSpec, SolverConfig
 from calmkit.diagnostics import classify_stationarity, kappa1, residual
-from calmkit.losses import Box, ExponentialLoss, QuadraticLoss
+from calmkit.losses import Box, ExponentialLoss, LogisticLoss, QuadraticLoss
 from calmkit.oracle import brute_force_stationary_set
 from calmkit.penalties import L1Penalty, NegAbsPenalty, ScadPenalty, ZeroPenalty
 from calmkit.solvers import pg_solve, ppa_solve
@@ -149,6 +149,31 @@ def test_ppa_2d_objective_non_increasing():
     tr = ppa_solve(prob, cfg, np.array([2.0, 2.0]), oracle_window=8.0)
     diffs = np.diff(tr.objectives)
     assert np.all(diffs <= 1e-9)
+
+
+def _dense_f_prox_1d(prob, gamma, xk, window):
+    """argmin of F(t) + (t - xk)^2 / (2 gamma): a 1e-3 grid over the window,
+    then a 1e-7 grid around its best point."""
+    def subproblem(t):
+        T = t[:, None]
+        return prob.loss.value_many(T) + prob.penalty.value_many(T) + (t - xk) ** 2 / (2.0 * gamma)
+
+    t = np.linspace(xk - window, xk + window, int(round(2.0 * window / 1e-3)) + 1)
+    best = t[np.argmin(subproblem(t))]
+    t = np.linspace(best - 2e-3, best + 2e-3, 40001)
+    return t[np.argmin(subproblem(t))]
+
+
+def test_ppa_1d_oracle_prox_matches_dense_minimization():
+    prob = ProblemSpec(1, LogisticLoss([[1.0], [-0.5], [2.0], [0.3]], [1, 1, -1, 1]),
+                       ScadPenalty(0.3, 3.7))
+    cfg = SolverConfig(gamma=1.0, max_iter=3, stop_tol=0.0, theory_mode=False)
+    tr = ppa_solve(prob, cfg, np.array([3.0]))
+    assert len(tr.points) == 4
+    assert np.all(np.diff(tr.objectives) <= 0.0)
+    for xk, x_next in zip(tr.points[:-1], tr.points[1:]):
+        window = 20.0 * (1.0 + abs(float(xk[0])))
+        assert abs(x_next[0] - _dense_f_prox_1d(prob, 1.0, float(xk[0]), window)) <= 1e-6
 
 
 def test_ppa_rejects_large_nonseparable_problems():
