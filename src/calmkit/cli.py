@@ -172,20 +172,16 @@ def cmd_diagnose(args) -> int:
         report["kappa_hat"] = est.to_json()
         j = int(np.argmin(np.linalg.norm(S.points - trace.final[None, :], axis=1)))
         x_bar = S.points[j]
-        try:
-            fit = diagnostics.fit_linear_rate(
-                trace, prob.objective(x_bar), x_bar, gamma=gamma, L=L,
-                kappa_hat=est.kappa_hat)
-            report["rate_fit"] = fit.to_json()
-        except ValueError as exc:
-            report["rate_fit"] = {"skipped": str(exc)}
+        F_star = prob.objective(x_bar)
+        prediction = {"gamma": gamma, "L": L, "kappa_hat": est.kappa_hat}
     else:
         report["kappa_hat"] = {"skipped": "needs --oracle-box, n <= 2 and a separable penalty"}
-        try:
-            fit = diagnostics.fit_linear_rate(trace, trace.objectives[-1], trace.final)
-            report["rate_fit"] = fit.to_json()
-        except ValueError as exc:
-            report["rate_fit"] = {"skipped": str(exc)}
+        x_bar, F_star, prediction = trace.final, trace.objectives[-1], {}
+    try:
+        report["rate_fit"] = diagnostics.fit_linear_rate(
+            trace, F_star, x_bar, **prediction).to_json()
+    except ValueError as exc:
+        report["rate_fit"] = {"skipped": str(exc)}
     _emit(report, args.out)
     return 0
 

@@ -225,17 +225,8 @@ class ConeUnion2:
         return ConeUnion2(arcs)
 
     @staticmethod
-    def ray(v) -> "ConeUnion2":
-        return ConeUnion2.from_atoms([atom_ray(v)])
-
-    @staticmethod
     def line(v) -> "ConeUnion2":
         return ConeUnion2.from_atoms([atom_line(v)])
-
-    @staticmethod
-    def from_directions(vs) -> "ConeUnion2":
-        """Union of rays through the given direction vectors."""
-        return ConeUnion2([(_angle(_unit(v)), _angle(_unit(v))) for v in vs])
 
     # -- canonical form -----------------------------------------------------
 
@@ -369,7 +360,7 @@ class ConeUnion2:
             "[%.6f, %.6f]" % (s, e) for s, e in self.arcs)
 
 
-def polar_of_directions(dirs, tol=ANGLE_TOL) -> ConeUnion2:
+def polar_of_directions(dirs) -> ConeUnion2:
     """Polar cone {v : <v, d> <= 0 for all d} of a finite set of directions.
 
     Intersection of closed half-circles; the result is a single convex cone
@@ -389,7 +380,7 @@ def polar_of_directions(dirs, tol=ANGLE_TOL) -> ConeUnion2:
         for s, e in arcs:
             for shift in (-TWO_PI, 0.0, TWO_PI):
                 s2, e2 = max(s, lo + shift), min(e, hi + shift)
-                if s2 <= e2 + tol:
+                if s2 <= e2 + ANGLE_TOL:
                     new_arcs.append((s2, max(s2, e2)))
         arcs = new_arcs
         if not arcs:

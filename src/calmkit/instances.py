@@ -100,7 +100,7 @@ def _minimizer_within_reach(loss: ExponentialLoss, box: Box) -> bool:
     """Whether the loss has a minimizer within the box's diameter of the box,
     where PG's Lipschitz-box guard lets iterates go.  Separable data (M x >= 0
     and M x != 0 for some x, M = diag(d) C) leave it without a minimizer."""
-    M = loss.d[:, None] * loss.C
+    M = loss.M
     if -linprog(-M.sum(axis=0), A_ub=-M, b_ub=np.zeros(len(M)), bounds=(-1.0, 1.0)).fun > 1e-9:
         return False
     res = minimize(loss.value, np.zeros(loss.n), jac=loss.gradient, hess=loss.hessian,

@@ -4,6 +4,12 @@ Five families: quadratic, structured-composite (strongly convex quadratic
 applied to Ax plus a linear term), logistic, exponential, and a one-hidden-
 layer sigmoid network.  The exponential and network losses have no global
 gradient-Lipschitz constant; their bounds are scoped to a user box.
+
+Each family writes f and grad f once, batched over rows (value_many,
+gradient_many); single-point value and gradient are the one-row case.  Only
+the network has no batched formula and loops over rows.  Logistic and
+exponential are margin losses, f(x) = sum_i l((Mx)_i): each gives only its
+l, l', l'' and Lipschitz bound.
 """
 
 from __future__ import annotations
@@ -99,20 +105,20 @@ class SmoothLoss:
         return x
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        return float(self.value_many(self._check(x)[None])[0])
 
     def gradient(self, x) -> np.ndarray:
-        raise NotImplementedError
+        return self.gradient_many(self._check(x)[None])[0]
 
     def value_and_gradient(self, x):
         """(f(x), grad f(x)); families whose two share work override it."""
         return self.value(x), self.gradient(x)
 
     def value_many(self, X) -> np.ndarray:
-        return np.array([self.value(x) for x in np.atleast_2d(X)])
+        raise NotImplementedError
 
     def gradient_many(self, X) -> np.ndarray:
-        return np.stack([self.gradient(x) for x in np.atleast_2d(X)])
+        raise NotImplementedError
 
     def hessian(self, x) -> np.ndarray:
         raise LossError("Hessian not supported for family %r" % self.family)
@@ -140,14 +146,6 @@ class QuadraticLoss(SmoothLoss):
             raise LossError("q has wrong length")
         self.n = self.Q.shape[0]
 
-    def value(self, x):
-        x = self._check(x)
-        return float(0.5 * x @ self.Q @ x + self.q @ x)
-
-    def gradient(self, x):
-        x = self._check(x)
-        return self.Q @ x + self.q
-
     def value_and_gradient(self, x):
         """One product Q x serves both; the gradient is bit-identical to
         gradient(x), the value agrees with value(x) to rounding."""
@@ -164,7 +162,8 @@ class QuadraticLoss(SmoothLoss):
         return 0.5 * np.einsum("ij,ij->i", X @ self.Q, X) + X @ self.q
 
     def gradient_many(self, X):
-        return np.atleast_2d(X) @ self.Q + self.q
+        # X Q^T, not X Q: one row is then value_and_gradient's Q x + q, bit for bit
+        return np.atleast_2d(X) @ self.Q.T + self.q
 
     def lipschitz_bound(self, box=None):
         return LipschitzBound(_spectral_bound(self.Q), "global")
@@ -194,15 +193,6 @@ class StructuredCompositeLoss(SmoothLoss):
         self.mu_h = float(w[0]) if mu_h is None else float(mu_h)
         self.n = n
 
-    def value(self, x):
-        x = self._check(x)
-        z = self.A @ x
-        return float(0.5 * z @ self.H @ z + self.h0 @ z + self.q @ x)
-
-    def gradient(self, x):
-        x = self._check(x)
-        return self.A.T @ (self.H @ (self.A @ x) + self.h0) + self.q
-
     def hessian(self, x):
         self._check(x)
         return self.A.T @ self.H @ self.A
@@ -214,7 +204,7 @@ class StructuredCompositeLoss(SmoothLoss):
 
     def gradient_many(self, X):
         Z = np.atleast_2d(X) @ self.A.T
-        return (Z @ self.H + self.h0) @ self.A + self.q
+        return (Z @ self.H.T + self.h0) @ self.A + self.q   # H^T: one row computes H z
 
     def lipschitz_bound(self, box=None):
         lh = _spectral_bound(self.H)
@@ -226,8 +216,37 @@ class StructuredCompositeLoss(SmoothLoss):
                 "q": self.q.tolist(), "H": self.H.tolist(), "h0": self.h0.tolist()}
 
 
-class LogisticLoss(SmoothLoss):
-    """f(x) = sum_i log(1 + exp(-d_i c_i^T x)).
+class MarginLoss(SmoothLoss):
+    """f(x) = sum_i l(t_i) over the margins t = M x, M = diag(d) C, with
+    labels d_i = +-1.  A subclass gives l, l' and l'' as element-wise static
+    methods ell, dell and ddell, and its own Lipschitz bound."""
+
+    def __init__(self, C, d):
+        self.C = np.asarray(C, dtype=float)
+        self.d = np.asarray(d, dtype=float)
+        if self.C.ndim != 2 or self.d.shape != (self.C.shape[0],):
+            raise LossError("C rows must match labels d")
+        if not np.all(np.isin(self.d, (-1.0, 1.0))):
+            raise LossError("labels must be +-1")
+        self.n = self.C.shape[1]
+        self.M = self.d[:, None] * self.C  # rows d_i c_i
+
+    def value_many(self, X):
+        return np.sum(self.ell(np.atleast_2d(X) @ self.M.T), axis=1)
+
+    def gradient_many(self, X):
+        return self.dell(np.atleast_2d(X) @ self.M.T) @ self.M
+
+    def hessian(self, x):
+        w = self.ddell(self.M @ self._check(x))
+        return (self.M * w[:, None]).T @ self.M
+
+    def to_json(self):
+        return {"family": self.family, "C": self.C.tolist(), "d": self.d.tolist()}
+
+
+class LogisticLoss(MarginLoss):
+    """l(t) = log(1 + e^{-t}).
 
     The cited scenario table carries the concave sign variant; the standard
     convex form is implemented (see README notes).
@@ -235,102 +254,51 @@ class LogisticLoss(SmoothLoss):
 
     family = "logistic"
 
-    def __init__(self, C, d):
-        self.C = np.asarray(C, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-        if self.C.ndim != 2 or self.d.shape != (self.C.shape[0],):
-            raise LossError("C rows must match labels d")
-        if not np.all(np.isin(self.d, (-1.0, 1.0))):
-            raise LossError("labels must be +-1")
-        self.n = self.C.shape[1]
-        self._M = self.d[:, None] * self.C  # rows d_i c_i
+    @staticmethod
+    def ell(t):
+        return np.logaddexp(0.0, -t)     # log(1 + e^{-t}) computed stably
 
-    def _margins(self, x):
-        return self._M @ x
+    @staticmethod
+    def dell(t):
+        return -(1.0 / (1.0 + np.exp(t)))    # -sigma(-t)
 
-    def value(self, x):
-        x = self._check(x)
-        t = self._margins(x)
-        # log(1 + e^{-t}) computed stably
-        return float(np.sum(np.logaddexp(0.0, -t)))
-
-    def gradient(self, x):
-        x = self._check(x)
-        t = self._margins(x)
-        s = 1.0 / (1.0 + np.exp(t))     # sigma(-t)
-        return -self._M.T @ s
-
-    def hessian(self, x):
-        x = self._check(x)
-        t = self._margins(x)
+    @staticmethod
+    def ddell(t):
         s = 1.0 / (1.0 + np.exp(t))
-        w = s * (1.0 - s)
-        return (self._M * w[:, None]).T @ self._M
-
-    def value_many(self, X):
-        T = np.atleast_2d(X) @ self._M.T
-        return np.sum(np.logaddexp(0.0, -T), axis=1)
-
-    def gradient_many(self, X):
-        T = np.atleast_2d(X) @ self._M.T
-        return -(1.0 / (1.0 + np.exp(T))) @ self._M
+        return s * (1.0 - s)
 
     def lipschitz_bound(self, box=None):
-        nm = operator_norm(self._M)
+        nm = operator_norm(self.M)
         return LipschitzBound(0.25 * nm * nm, "global")
 
-    def to_json(self):
-        return {"family": "logistic", "C": self.C.tolist(), "d": self.d.tolist()}
 
-
-class ExponentialLoss(SmoothLoss):
-    """f(x) = sum_i exp(-d_i c_i^T x); gradient Lipschitz only on boxes."""
+class ExponentialLoss(MarginLoss):
+    """l(t) = e^{-t}; gradient Lipschitz only on boxes."""
 
     family = "exponential"
     needs_box = True
 
-    def __init__(self, C, d):
-        self.C = np.asarray(C, dtype=float)
-        self.d = np.asarray(d, dtype=float)
-        if self.C.ndim != 2 or self.d.shape != (self.C.shape[0],):
-            raise LossError("C rows must match labels d")
-        if not np.all(np.isin(self.d, (-1.0, 1.0))):
-            raise LossError("labels must be +-1")
-        self.n = self.C.shape[1]
-        self._M = self.d[:, None] * self.C
+    @staticmethod
+    def ell(t):
+        return np.exp(-t)
 
-    def value(self, x):
-        x = self._check(x)
-        return float(np.sum(np.exp(-self._M @ x)))
+    @staticmethod
+    def dell(t):
+        return -np.exp(-t)
 
-    def gradient(self, x):
-        x = self._check(x)
-        e = np.exp(-self._M @ x)
-        return -self._M.T @ e
-
-    def hessian(self, x):
-        x = self._check(x)
-        e = np.exp(-self._M @ x)
-        return (self._M * e[:, None]).T @ self._M
-
-    def value_many(self, X):
-        return np.sum(np.exp(-np.atleast_2d(X) @ self._M.T), axis=1)
-
-    def gradient_many(self, X):
-        return -np.exp(-np.atleast_2d(X) @ self._M.T) @ self._M
+    @staticmethod
+    def ddell(t):
+        return np.exp(-t)
 
     def lipschitz_bound(self, box=None):
         if box is None:
             raise LossError("no global Lipschitz bound for the exponential loss; a box is required")
         # sup of sum_i e^{-t_i} ||c_i||^2 over the box, per-term via corner analysis
         total = 0.0
-        for row in self._M:
+        for row in self.M:
             tmin = float(np.sum(np.where(row >= 0, row * box.lo, row * box.hi)))
             total += math.exp(-tmin) * float(row @ row)
         return LipschitzBound(total, "box", box)
-
-    def to_json(self):
-        return {"family": "exponential", "C": self.C.tolist(), "d": self.d.tolist()}
 
 
 class SigmoidNNLoss(SmoothLoss):
@@ -383,6 +351,13 @@ class SigmoidNNLoss(SmoothLoss):
         gu = Hmat.T @ r
         gW = ((r[:, None] * Hmat * (1.0 - Hmat)) * u[None, :]).T @ self.A
         return np.concatenate([gW.reshape(-1), gu])
+
+    # no batched formula: a batch is a loop over its rows
+    def value_many(self, X):
+        return np.array([self.value(x) for x in np.atleast_2d(X)])
+
+    def gradient_many(self, X):
+        return np.stack([self.gradient(x) for x in np.atleast_2d(X)])
 
     def lipschitz_bound(self, box=None):
         if box is None:

@@ -19,7 +19,7 @@ from calmkit.diagnostics import (check_kl_half, check_kl_half_problem,
                                  estimate_error_bound_constant, fit_linear_rate,
                                  predicted_sigma, verify_cost_to_go,
                                  verify_sufficient_descent)
-from calmkit.graphs_cones import (ConeUnion2, classify_point,
+from calmkit.graphs_cones import (ConeUnion2, atom_ray, classify_point,
                                   directional_limiting_normal_cone,
                                   limiting_normal_cone, regular_normal_cone,
                                   tangent_cone)
@@ -255,8 +255,8 @@ def test_acceptance_07_example_reproduction():
     # the kink tangent cone follows the drawn graph geometry; the stated
     # reflection is documented in the reproduce report
     kink = tangent_cone(G, (0.0, lam))
-    ok &= kink.equals(ConeUnion2.from_directions([(1.0, 0.0), (0.0, -1.0)]))
-    reflected = ConeUnion2.from_directions([(-1.0, 0.0), (0.0, 1.0)])
+    ok &= kink.equals(ConeUnion2.from_atoms([atom_ray((1.0, 0.0)), atom_ray((0.0, -1.0))]))
+    reflected = ConeUnion2.from_atoms([atom_ray((-1.0, 0.0)), atom_ray((0.0, 1.0))])
     ok &= not kink.equals(reflected)
     from calmkit.cli import main as cli_main
     import io

@@ -641,14 +641,16 @@ def _random_stationary_instance(rng, penalty, Q=None):
     x_bar = np.empty(n)
     targets = np.empty(n)
     bps = penalty.breakpoints() + [0.0]
+    pieces = penalty.scalar_pieces()
+    dom_lo, dom_hi = pieces[0][0], pieces[-1][1]
     for i in range(n):
         if rng.random() < 0.5:
             x_bar[i] = float(rng.choice(bps))
         else:
             x_bar[i] = float(rng.uniform(-4, 4))
         iv = penalty.prox_subdiff(float(x_bar[i]))
-        if iv.is_empty:
-            x_bar[i] = float(rng.uniform(0.5, 3.0))
+        if iv.is_empty:   # redraw, clipped into the penalty's domain
+            x_bar[i] = float(np.clip(rng.uniform(0.5, 3.0), dom_lo, dom_hi))
             iv = penalty.prox_subdiff(float(x_bar[i]))
         lo, hi = iv.intervals[0][0], iv.intervals[-1][1]
         lo = max(lo, -10.0)
@@ -694,11 +696,12 @@ def _sweep_has_critical_direction(prob, x_bar, sweep=7200):
     return False
 
 
-@pytest.mark.parametrize("family", ["l1", "scad", "mcp"])
+@pytest.mark.parametrize("family", ["l1", "scad", "mcp", "box-indicator"])
 def test_nnamcq_engine_matches_angular_sweep(family):
-    from calmkit.penalties import McpPenalty as _M, ScadPenalty as _S, L1Penalty as _L
+    from calmkit.penalties import (BoxIndicator as _B, McpPenalty as _M,
+                                   ScadPenalty as _S, L1Penalty as _L)
     make = {"l1": lambda: _L(1.0), "scad": lambda: _S(1.0, 3.0),
-            "mcp": lambda: _M(1.0, 2.0)}[family]
+            "mcp": lambda: _M(1.0, 2.0), "box-indicator": lambda: _B(-1.0, 2.0)}[family]
     rng = np.random.default_rng(zlib.crc32(family.encode()))
     agreements = 0
     for _ in range(40):
@@ -714,11 +717,12 @@ def test_nnamcq_engine_matches_angular_sweep(family):
     assert agreements == 40
 
 
-@pytest.mark.parametrize("family", ["l1", "scad", "mcp"])
+@pytest.mark.parametrize("family", ["l1", "scad", "mcp", "box-indicator"])
 def test_foscms_stage1_matches_angular_sweep(family):
-    from calmkit.penalties import McpPenalty as _M, ScadPenalty as _S, L1Penalty as _L
+    from calmkit.penalties import (BoxIndicator as _B, McpPenalty as _M,
+                                   ScadPenalty as _S, L1Penalty as _L)
     make = {"l1": lambda: _L(1.0), "scad": lambda: _S(1.0, 3.0),
-            "mcp": lambda: _M(1.0, 2.0)}[family]
+            "mcp": lambda: _M(1.0, 2.0), "box-indicator": lambda: _B(-1.0, 2.0)}[family]
     rng = np.random.default_rng(zlib.crc32(family.encode()) + 5)
     for _ in range(40):
         prob, x_bar = _random_stationary_instance(rng, make())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import cone_oracle as oracle
-from calmkit.graphs_cones import (ConeUnion2, GraphPointError, classify_point,
+from calmkit.graphs_cones import (ConeUnion2, GraphPointError, atom_ray,
+                                  classify_point,
                                   directional_limiting_normal_atoms,
                                   directional_limiting_normal_cone,
                                   limiting_normal_atoms, limiting_normal_cone,
@@ -65,7 +66,7 @@ def test_tangent_on_slanted_branch():
 
 def test_tangent_at_l1_vertex_two_rays():
     c = tangent_cone(L1, (0.0, 1.0))
-    expected = ConeUnion2.from_directions([(0.0, -1.0), (1.0, 0.0)])
+    expected = ConeUnion2.from_atoms([atom_ray((0.0, -1.0)), atom_ray((1.0, 0.0))])
     assert c.equals(expected)
     # definition-based sampling oracle agrees
     assert oracle.arcs_match(oracle.tangent_arcs(L1, (0.0, 1.0)), c)
@@ -184,7 +185,8 @@ def test_atom_counts_stay_small():
 # cone algebra
 
 def test_cone_union_canonical_merging():
-    c = ConeUnion2.ray((1.0, 0.0)).union(ConeUnion2.ray((-1.0, 0.0)))
+    c = ConeUnion2.from_atoms([atom_ray((1.0, 0.0))]).union(
+        ConeUnion2.from_atoms([atom_ray((-1.0, 0.0))]))
     assert c.equals(ConeUnion2.line((1.0, 0.0)))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calmkit.losses import (Box, ExponentialLoss, LogisticLoss, LossError,
-                            QuadraticLoss, SigmoidNNLoss,
+                            MarginLoss, QuadraticLoss, SigmoidNNLoss,
                             StructuredCompositeLoss, lipschitz_bound,
                             loss_gradient, loss_hessian, loss_value)
 
@@ -175,8 +175,21 @@ def test_vectorized_paths_agree():
         vals = loss.value_many(X)
         grads = loss.gradient_many(X)
         for i, x in enumerate(X):
+            # single-point calls are the one-row batch, bit for bit
+            assert loss.value(x) == loss.value_many(x[None])[0]
+            assert loss.gradient(x).tobytes() == loss.gradient_many(x[None])[0].tobytes()
             assert vals[i] == pytest.approx(loss.value(x), rel=1e-12, abs=1e-12)
             assert np.allclose(grads[i], loss.gradient(x), atol=1e-12)
+
+
+def test_margin_losses_share_one_body():
+    # logistic and exponential differ only in l, l', l'' and the bound
+    assert LogisticLoss.__bases__ == ExponentialLoss.__bases__ == (MarginLoss,)
+    for cls in (LogisticLoss, ExponentialLoss):
+        own = {k for k, v in vars(cls).items() if callable(v)}
+        assert own == {"ell", "dell", "ddell", "lipschitz_bound"}
+    for k in ("__init__", "value_many", "gradient_many", "hessian", "to_json"):
+        assert k in vars(MarginLoss)
 
 
 def test_value_and_gradient_is_value_and_gradient():
