@@ -31,6 +31,7 @@ from scipy.linalg import null_space  # noqa: F401  (perfbench/tracing.py wraps c
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracing.py wraps calmness.linprog)
 
 from .core import ProblemSpec
+from .diagnostics import _significant
 from .graphs_cones import (Atom, directional_limiting_normal_atoms,
                            limiting_normal_atoms, tangent_atoms)
 from .oracle import brute_force_set_valued_solve, brute_force_stationary_set
@@ -68,7 +69,8 @@ class ModulusEstimate:
     note: str = ""
 
     def to_json(self):
-        return {"kappa_hat": self.kappa_hat, "samples": self.samples,
+        """kappa_hat to the 5 significant digits that the oracle's rounding leaves."""
+        return {"kappa_hat": _significant(self.kappa_hat), "samples": self.samples,
                 "max_ratio_point": None if self.max_ratio_point is None
                 else np.asarray(self.max_ratio_point).tolist(),
                 "max_ratio_perturbation": None if self.max_ratio_perturbation is None
@@ -106,12 +108,13 @@ def _atom_rows(atom: Atom):
 
 
 def _coordinate_rows(atoms, r_s, r_t):
-    """Rows (E, C) in z-space of each atom of one coordinate, whose planar
-    vector is v(z) = (r_s . z, r_t . z)."""
+    """Normalised rows (E, C) in z-space of each atom of one coordinate,
+    whose planar vector is v(z) = (r_s . z, r_t . z)."""
     blocks = []
     for atom in atoms:
         E, C = (np.reshape(rows, (-1, 2)) for rows in _atom_rows(atom))
-        blocks.append((E[:, :1] * r_s + E[:, 1:] * r_t, C[:, :1] * r_s + C[:, 1:] * r_t))
+        blocks.append((_normalize_rows(E[:, :1] * r_s + E[:, 1:] * r_t),
+                       _normalize_rows(C[:, :1] * r_s + C[:, 1:] * r_t)))
     return blocks
 
 
@@ -141,12 +144,10 @@ def _svd_rank(A, rcond=None):
 
 
 def _reduce(E, C):
-    """Normalised rows E, C, a null-space basis N of E, and Cc = C N.
+    """Normalised rows E, C as given, a null-space basis N of E, and Cc = C N.
 
     {E z = 0, C z >= 0} is the image under N of the cone {y : Cc y >= 0}.
     """
-    E = _normalize_rows(E)
-    C = _normalize_rows(C)
     rank, Vt = _svd_rank(E)
     N = Vt[rank:].T
     Cc = _normalize_rows(C @ N) if C.shape[0] and N.shape[1] else np.zeros((0, N.shape[1]))

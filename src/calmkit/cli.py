@@ -212,7 +212,6 @@ def cmd_reproduce(args) -> int:
         for case in instances.example_5_1_cases():
             rep_f = calmness.check_foscms(case.prob, case.z_bar)
             rep_n = calmness.check_nnamcq(case.prob, case.z_bar)
-            got = rep_f.condition if rep_f.verdict == "holds" else rep_f.verdict
             if case.expected == "NNAMCQ-holds":
                 matches = rep_n.verdict == "holds"
             elif case.expected == "inconclusive":

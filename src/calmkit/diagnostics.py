@@ -124,17 +124,17 @@ class RateFit:
     within_prediction: bool | None = None
 
     def to_json(self):
-        """Fitted factors and r^2 to the 5 significant digits that rounding
-        in F leaves them near the fit's floor; the attributes keep all."""
+        """Fitted and predicted factors and r^2 to the 5 significant digits that
+        rounding in F and kappa_hat leaves them; the attributes keep all."""
         return {"sigma_hat": _significant(self.sigma_hat),
                 "rho_hat": _significant(self.rho_hat),
                 "burn_in": self.burn_in, "r_squared": _significant(self.r_squared),
-                "n_points": self.n_points, "predicted_sigma": self.predicted_sigma,
+                "n_points": self.n_points, "predicted_sigma": _significant(self.predicted_sigma),
                 "within_prediction": self.within_prediction}
 
 
-def _significant(x: float, digits: int = 5) -> float:
-    return float("%.*g" % (digits, x))
+def _significant(x: float | None, digits: int = 5) -> float | None:
+    return None if x is None else float("%.*g" % (digits, x))
 
 
 def _log_linear_fit(ks, logs):

@@ -1,16 +1,17 @@
 """Brute-force ground truth: scalar global minimization, stationary sets,
 and perturbed stationary-set solves on boxes (n <= 2).
 
-The stationary-set scans split the box into a grid of cells.  A vectorized
-hull test keeps the cells that may hold a solution; in each kept cell every
-combination of per-coordinate options (a penalty piece, where the inclusion
-is an equation, or a breakpoint, where the coordinate is fixed) is solved
-once, and a root counts only if it lies in the closed cell and passes the
-exact membership residual.
+One scan serves the stationary set S(0) = S_cano(0) and the perturbed maps
+S_cano(p) and S_PG(p).  It keeps the grid cells whose target lies near the
+hull of the cell's options (a penalty piece, where the inclusion is an
+equation, or a breakpoint, where the coordinate is fixed), solves every
+combination of options in each kept cell once, and counts a root only if it
+lies in the closed cell and passes the exact residual (subdiff_distances).
 
 Every derived expected value in the test suite traces back to these
-routines, which never share code paths with the analytic implementations
-they check.
+routines.  They read a penalty only through its piece table, its values and
+its subdifferentials, and share no prox, solver or cone code with what they
+check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,12 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
+from .core import ConfigError, StationarySetApprox
+from .losses import Box
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_MAX_ITER = 200
+SCAN_CHUNK = 2_000_000   # grid points per vectorized evaluation of the scalar scan
 ACCEPT_TOL = 1e-7   # exact residual at which a cell root counts as a solution
 
 
@@ -32,12 +38,12 @@ class OracleError(RuntimeError):
 # ---------------------------------------------------------------------------
 # one-dimensional global minimization
 
-def _golden_refine(fn, lo, hi, tol=1e-12, max_iter=200):
+def _golden_refine(fn, lo, hi, tol=1e-12):
     a, b = lo, hi
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = fn(x1), fn(x2)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a <= tol * (1.0 + abs(a) + abs(b)):
             break
         if f1 <= f2:
@@ -54,8 +60,7 @@ def _golden_refine(fn, lo, hi, tol=1e-12, max_iter=200):
     return xs[i], vs[i]
 
 
-def brute_force_scalar_min(fn, lo, hi, grid, chunk=2_000_000, fn_scalar=None,
-                           refine_tol=1e-12):
+def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12):
     """All global minimizers of a scalar function on [lo, hi].
 
     fn must accept numpy arrays (fn_scalar, when given, is a cheap scalar
@@ -72,7 +77,7 @@ def brute_force_scalar_min(fn, lo, hi, grid, chunk=2_000_000, fn_scalar=None,
     scalar = fn_scalar if fn_scalar is not None \
         else (lambda t: float(fn(np.array([t]))[0]))
     while start < m:
-        stop = min(start + chunk, m)
+        stop = min(start + SCAN_CHUNK, m)
         idx = np.arange(max(start - 1, 0), min(stop + 1, m))
         ts = lo + idx * grid
         vs = fn(ts)
@@ -115,7 +120,9 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
     if the optimum hits the boundary.
     """
     if not penalty.separable:
-        raise OracleError("scalar prox oracle needs a separable penalty")
+        raise ConfigError("the prox oracle needs a separable penalty")
+    if not (gamma > 0 and grid > 0 and (window is None or window > 0)):
+        raise ConfigError("the prox oracle needs gamma, grid and window > 0")
     u = float(u)
     if window is None:
         window = 50.0 * (1.0 + abs(u))
@@ -145,11 +152,14 @@ def _cartesian(axes):
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _exact_residual(penalty, target, x, limiting=False):
-    """max_i dist(target_i(x), subdiff(x_i)) with exact interval sets."""
-    sd = penalty.limiting_subdiff if limiting else penalty.prox_subdiff
-    t = target(x[None, :])[0]
-    return max(sd(float(xi)).distance(float(ti)) for xi, ti in zip(x, t))
+def _piece_meets(plo, phi, lo, hi):
+    """The open piece interval (plo, phi) meets the closed cell side [lo, hi]."""
+    return (plo < hi) & (phi > lo)
+
+
+def _on_side(t, lo, hi):
+    """The breakpoint t lies on the closed cell side [lo, hi]."""
+    return (lo <= t) & (t <= hi)
 
 
 def _cell_options(penalty, lo, hi):
@@ -160,8 +170,27 @@ def _cell_options(penalty, lo, hi):
     the side fixes x_i = t and leaves membership to the exact residual.
     """
     opts = [(plo, phi, a2, a1) for plo, phi, a2, a1, _a0 in penalty.pieces
-            if plo < hi and phi > lo]
-    return opts + [t for t in penalty.breakpoints() if lo <= t <= hi]
+            if _piece_meets(plo, phi, lo, hi)]
+    return opts + [t for t in penalty.breakpoints() if _on_side(t, lo, hi)]
+
+
+def _option_hulls(penalty, left, right, limiting):
+    """Per cell side [left, right] of one axis, the hull of its options'
+    values: a meeting piece's slope at the ends of its overlap with the side,
+    the subdifferential at a breakpoint on it; empty as (+inf, -inf)."""
+    lo_h = np.full(left.shape, math.inf)
+    hi_h = np.full(left.shape, -math.inf)
+    for plo, phi, a2, a1, _a0 in penalty.pieces:
+        ends = [2.0 * a2 * t + a1 for t in (np.maximum(plo, left), np.minimum(phi, right))]
+        meets = _piece_meets(plo, phi, left, right)
+        lo_h = np.where(meets, np.minimum(lo_h, np.minimum(*ends)), lo_h)
+        hi_h = np.where(meets, np.maximum(hi_h, np.maximum(*ends)), hi_h)
+    bps = penalty.breakpoints()
+    for t, bl, bh in zip(bps, *penalty.subdiff_bounds_array(np.array(bps), limiting)):
+        on = _on_side(t, left, right)
+        lo_h = np.where(on, np.minimum(lo_h, bl), lo_h)
+        hi_h = np.where(on, np.maximum(hi_h, bh), hi_h)
+    return lo_h, hi_h
 
 
 def _strictly_inside(t, lo, hi):
@@ -192,58 +221,36 @@ def _solve_in_cell(penalty, target, lo, hi, limiting):
             continue
         if not all(_strictly_inside(x[i], *combo[i][:2]) for i in free):
             continue   # a root at a piece end is its breakpoint option's to accept
-        res = _exact_residual(penalty, target, x, limiting)
+        res = max(penalty.subdiff_distances(x, target(x[None, :])[0], limiting))
         if res <= ACCEPT_TOL:
             found.append((x, res))
     return found
 
 
-def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound):
+def _membership_scan(penalty, target, box_lo, box_hi, cells, limiting, lip_bound):
     """All x in the box with target_i(x) in subdiff(g_i)(x_i) per coordinate.
 
     target maps an (N, n) array of points to an (N, n) array of required
-    subgradient values.  Candidate cells come from a vectorized hull test
-    with a Lipschitz margin; in each candidate cell every combination of
+    subgradient values.  A cell is a candidate when, on every axis, the
+    target at its centre lies within a Lipschitz margin of the hull of its
+    options (_option_hulls); in each candidate cell every combination of
     per-coordinate pieces and breakpoints is solved exactly, and a root is
     kept when it lies in the closed cell and passes the exact residual.
     Roots within two cell radii of a better one are dropped.
     """
-    penalty = prob.penalty
-    if not penalty.separable:
-        raise OracleError("membership scan needs a separable penalty")
     n = len(box_lo)
     # one edge array per axis, so neighbouring cells share their edge floats
     edges = [np.linspace(lo, hi, cells + 1) for lo, hi in zip(box_lo, box_hi)]
     half = [(hi - lo) / (2 * cells) for lo, hi in zip(box_lo, box_hi)]
     cell_radius = math.sqrt(sum(h * h for h in half))
     margin = lip_bound * cell_radius * 1.05 + 1e-12
-
-    # per-axis subdifferential hulls over each cell (breakpoint-aware; the
-    # inclusion test is padded so breakpoints on shared cell edges count
-    # for both neighbors)
-    hulls = []
-    for e, h in zip(edges, half):
-        left, right = e[:-1], e[1:]
-        mid = 0.5 * (left + right)
-        probes = [left, mid, right]
-        for b in penalty.breakpoints():
-            pad = 1e-9 * (1.0 + abs(b)) + 1e-6 * h
-            inside = (left - pad <= b) & (b <= right + pad)
-            for off in (-1e-3 * h, 0.0, 1e-3 * h):
-                probes.append(np.where(inside, b + off, mid))
-        los, his = [], []
-        for pvec in probes:
-            lo_b, hi_b = penalty.subdiff_bounds_array(pvec, limiting)
-            los.append(lo_b)
-            his.append(hi_b)
-        hulls.append((np.min(np.stack(los), axis=0), np.max(np.stack(his), axis=0)))
+    hulls = [_option_hulls(penalty, e[:-1], e[1:], limiting) for e in edges]
 
     X = _cartesian([0.5 * (e[:-1] + e[1:]) for e in edges])
     T = target(X)
     shape = (cells,) * n
     keep = np.ones(X.shape[0], dtype=bool)
-    for i in range(n):
-        lo_h, hi_h = hulls[i]
+    for i, (lo_h, hi_h) in enumerate(hulls):
         idx = np.unravel_index(np.arange(X.shape[0]), shape)[i]
         keep &= (T[:, i] + margin >= lo_h[idx]) & (T[:, i] - margin <= hi_h[idx])
 
@@ -273,28 +280,34 @@ def _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip_bound):
     return points, warnings
 
 
-def _lipschitz_for_scan(prob, box_lo, box_hi):
-    from .losses import Box
-    loss = prob.loss
-    box = Box(np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float))
-    if loss.needs_box:
-        return loss.lipschitz_bound(box).value
-    return loss.lipschitz_bound().value
+def _scan(prob, map_kind, p, box, cells, limiting=False, gamma=None):
+    """(points, warnings) of S_cano(p) or S_PG(p) on a box; the margin's L
+    bounds the loss on the box widened by |p| (a global bound ignores it)."""
+    if prob.n > 2 or not prob.penalty.separable:
+        raise ConfigError("the oracle needs n <= 2 and a separable penalty")
+    box_lo, box_hi = (np.asarray(b, dtype=float) for b in box)
+    if not (cells >= 1 and np.all(box_lo < box_hi)):
+        raise ConfigError("the oracle needs cells >= 1 and lo < hi on every axis")
+    p = np.asarray(p, dtype=float)
+    if map_kind == "S_cano":
+        target = lambda X: p[None, :] - prob.loss.gradient_many(X)
+    elif map_kind == "S_PG":
+        if gamma is None or not gamma > 0:
+            raise ConfigError("S_PG needs gamma > 0")
+        target = lambda X: (p / gamma)[None, :] - prob.loss.gradient_many(X + p[None, :])
+    else:
+        raise ConfigError("unknown map kind %r" % map_kind)
+    lip = prob.loss.lipschitz_bound(Box(box_lo - np.abs(p), box_hi + np.abs(p))).value
+    return _membership_scan(prob.penalty, target, box_lo, box_hi, cells, limiting, lip)
 
 
 def brute_force_stationary_set(prob, box, cells=400, limiting=False):
-    """Proximal (or limiting) stationary points of F = f + g inside a box.
+    """Proximal (or limiting) stationary points S(0) = S_cano(0) in a box.
 
     box: pair of arrays (lo, hi).  Returns a StationarySetApprox backed by
     the cell scan; boundary hits are reported on the result's warnings.
     """
-    from .core import StationarySetApprox
-    box_lo, box_hi = (np.asarray(b, dtype=float) for b in box)
-    if prob.n > 2:
-        raise OracleError("stationary-set oracle supports n <= 2 only")
-    target = lambda X: -prob.loss.gradient_many(X)
-    lip = _lipschitz_for_scan(prob, box_lo, box_hi)
-    pts, warnings = _membership_scan(prob, target, box_lo, box_hi, cells, limiting, lip)
+    pts, warnings = _scan(prob, "S_cano", np.zeros(prob.n), box, cells, limiting)
     return StationarySetApprox(points=np.array(pts).reshape(-1, prob.n),
                                radius=1e-6, method="oracle-grid", warnings=warnings)
 
@@ -306,18 +319,4 @@ def brute_force_set_valued_solve(prob, map_kind, p, box, gamma=None, cells=400):
     map_kind 'S_PG':    p/gamma in grad f(x + p) + prox-subdiff g(x)
     Returns a (possibly empty) list of solution vectors.
     """
-    box_lo, box_hi = (np.asarray(b, dtype=float) for b in box)
-    if prob.n > 2:
-        raise OracleError("set-valued solve supports n <= 2 only")
-    p = np.asarray(p, dtype=float)
-    if map_kind == "S_cano":
-        target = lambda X: p[None, :] - prob.loss.gradient_many(X)
-    elif map_kind == "S_PG":
-        if gamma is None:
-            raise OracleError("S_PG needs gamma")
-        target = lambda X: (p / gamma)[None, :] - prob.loss.gradient_many(X + p[None, :])
-    else:
-        raise OracleError("unknown map kind %r" % map_kind)
-    lip = _lipschitz_for_scan(prob, box_lo - np.abs(p), box_hi + np.abs(p))
-    pts, _warnings = _membership_scan(prob, target, box_lo, box_hi, cells, False, lip)
-    return pts
+    return _scan(prob, map_kind, p, box, cells, gamma=gamma)[0]

@@ -619,9 +619,7 @@ class GroupLasso(Penalty):
         self.weights = tuple(weights)
 
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(sum(w * np.linalg.norm(x[list(g)])
-                         for g, w in zip(self.groups, self.weights)))
+        return float(self.value_many(x)[0])
 
     def value_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))

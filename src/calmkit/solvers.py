@@ -130,7 +130,7 @@ def ppa_solve(prob: ProblemSpec, cfg: SolverConfig, x0, oracle_window=None) -> I
     cfg.validate(prob)
     x = np.array(x0, dtype=float)
     exact = (prob.loss.family == "quadratic" and prob.penalty.separable
-             and np.allclose(prob.loss.Q, np.diag(np.diag(prob.loss.Q))))
+             and np.count_nonzero(prob.loss.Q) == np.count_nonzero(np.diag(prob.loss.Q)))
     if not exact and prob.n > 2:
         raise ConfigError("PPA needs n <= 2 or diagonal quadratic f with separable g")
     tr = IterateTrace(prob.n)

@@ -331,3 +331,25 @@ def test_problem_file_not_utf8_exits_2(tmp_path, capsys, argv):
     files["{latin}"] = str(latin)
     assert main([files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]) == 2
     assert "not JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "stationary-set", "--problem", "{n3}", "--box=-6,6"],
+    ["oracle", "stationary-set", "--problem", "{group}", "--box=-6,6"],
+    ["oracle", "stationary-set", "--problem", "{ok}", "--box=1,-1"],
+    ["oracle", "stationary-set", "--problem", "{ok}", "--box=-6,6", "--cells", "0"],
+    ["oracle", "stationary-set", "--problem", "{ok}", "--box=-6,6", "--cells", "-3"],
+    ["oracle", "prox", "--family", "l1", "--lambda", "1", "--u", "0.5", "--gamma", "-1"],
+    ["oracle", "prox", "--family", "l1", "--lambda", "1", "--u", "0.5", "--gamma", "1",
+     "--grid", "0"],
+], ids=["n3", "group-lasso", "empty-box", "cells-0", "cells-negative", "gamma-negative",
+        "grid-0"])
+def test_unsupported_oracle_input_exits_2(tmp_path, capsys, argv):
+    n3 = {"n": 3, "loss": {"family": "quadratic", "Q": np.eye(3).tolist(), "q": [1.0, 0.0, -1.0]},
+          "penalty": {"family": "l1", "lambda": 1.0}}
+    group = dict(LASSO, penalty={"family": "group-lasso", "groups": [[0, 1]], "weights": [1.0]})
+    files = {"{ok}": write(tmp_path, "p.json", LASSO), "{n3}": write(tmp_path, "n3.json", n3),
+             "{group}": write(tmp_path, "g.json", group)}
+    with np.errstate(all="raise"):   # no division warning on the way to the error
+        assert main([files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]) == 2
+    assert "configuration error: " in capsys.readouterr().err

@@ -295,3 +295,28 @@ def test_cost_to_go_matches_the_double_loop(n):
     # the slacks come in probe order within each k
     for (_, got), (_, _, want) in zip(rep.violations, violations):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_kappa_hat_and_predicted_sigma_print_five_digits():
+    # kappa_hat divides distances to S near zero: a 1e-11 relative move of it
+    # stays in the attributes and the prediction, not in the report
+    from calmkit.calmness import ModulusEstimate
+    tr = IterateTrace(1)
+    for k in range(60):
+        tr.append(np.array([2.0 ** -k]), 2.0 ** -k, 0.0)
+    kappa = 1.2345678901234
+    reports = []
+    for scale in (1.0, 1.0 + 1e-11):
+        est = ModulusEstimate(kappa * scale, 3, None, None)
+        fit = fit_linear_rate(tr, 0.0, np.array([0.0]), burn_in=5,
+                              gamma=0.5, L=1.0, kappa_hat=est.kappa_hat)
+        assert fit.predicted_sigma == predicted_sigma(0.5, 1.0, kappa * scale)
+        reports.append((est.to_json(), fit.to_json()))
+    assert reports[0] == reports[1]
+    est_json, fit_json = reports[0]
+    assert est_json["kappa_hat"] == 1.2346
+    assert fit_json["predicted_sigma"] == float("%.5g" % fit.predicted_sigma)
+    assert fit_json["within_prediction"] == fit.within_prediction
+    assert math.isnan(ModulusEstimate(math.nan, 0, None, None).to_json()["kappa_hat"])
+    unpredicted = fit_linear_rate(tr, 0.0, np.array([0.0]), burn_in=5)
+    assert unpredicted.to_json()["predicted_sigma"] is None

@@ -10,7 +10,7 @@ from calmkit.oracle import (OracleError, brute_force_prox, brute_force_scalar_mi
                             brute_force_set_valued_solve,
                             brute_force_stationary_set)
 from calmkit.penalties import (BoxIndicator, L1Penalty, McpPenalty, NegAbsPenalty,
-                               ScadPenalty, ZeroPenalty)
+                               ScadPenalty, SeparablePenalty, ZeroPenalty)
 
 
 def test_scalar_min_quadratic():
@@ -252,3 +252,23 @@ def test_every_returned_point_is_in_the_box_and_solves_its_inclusion(fam, cells)
                     v = p / gamma - prob.loss.gradient(x + p)
                 assert np.max(g.subdiff_distances(x, v)) <= 1e-7
     assert found > 0
+
+
+class _SquareMinusAbs(SeparablePenalty):
+    """phi(t) = t^2 - |t|: a concave kink at 0 joining two curved pieces."""
+
+    family = "square-minus-abs"
+
+    def scalar_pieces(self):
+        return [(-math.inf, 0.0, 1.0, 1.0, 0.0), (0.0, math.inf, 1.0, -1.0, 0.0)]
+
+
+def test_point_next_to_a_concave_kink_between_curved_pieces_is_found():
+    # x* = -delta solves 1e-6 x + q + (2 x + 1) = 0 on the left piece; its
+    # cell also holds the kink, and the slopes the cell's options take there
+    # reach past what probes at the cell's ends, its centre and the kink give
+    delta = 1e-5
+    prob = ProblemSpec(1, QuadraticLoss([[1e-6]], [1e-6 * delta + 2.0 * delta - 1.0]),
+                       _SquareMinusAbs())
+    S = brute_force_stationary_set(prob, (np.array([-1.0]), np.array([1.0])), cells=20)
+    assert _nearest(S.points, np.array([-delta])) <= 1e-9

@@ -110,10 +110,13 @@ def test_constructed_ties_both_paths_agree(g, gamma, monkeypatch):
         assert sum(len(s) == 2 for s in sets) >= 2       # a two-point set at each jump
 
 
-@pytest.mark.parametrize("g", FAMILIES, ids=IDS)
+@pytest.mark.parametrize("g", FAMILIES + [GroupLasso([[0, 5], [1, 2, 3, 7], [4, 6, 8, 9, 10]],
+                                                     [0.7, 1.3, 0.4])],
+                         ids=IDS + ["group-lasso"])
 def test_value_many_rows_are_value(g):
+    # the group lasso's groups cover the first 11 coordinates of every X
     rng = np.random.default_rng(7)
-    knots = np.array(g.breakpoints() or [0.0])
+    knots = np.array(getattr(g, "breakpoints", list)() or [0.0])
     for n in (penalties.ARRAY_MIN_N - 1, penalties.ARRAY_MIN_N + 1):
         X = rng.uniform(-5.0, 5.0, (2500 // n + 1, n))
         X.flat[::3] = rng.choice(knots, X.flat[::3].size)   # on the pieces' ends

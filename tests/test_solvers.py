@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calmkit import solvers
 from calmkit.core import ConfigError, NumericAbort, ProblemSpec, SolverConfig
 from calmkit.diagnostics import classify_stationarity, kappa1, residual
 from calmkit.losses import Box, ExponentialLoss, LogisticLoss, QuadraticLoss
@@ -181,3 +182,19 @@ def test_ppa_rejects_large_nonseparable_problems():
     cfg = SolverConfig(gamma=1.0, max_iter=2, theory_mode=False)
     with pytest.raises(ConfigError):
         ppa_solve(prob, cfg, np.zeros(3))
+
+
+def test_ppa_exact_f_prox_only_for_an_exactly_diagonal_q(monkeypatch):
+    # off-diagonal entries of 5e-9 pass np.allclose against the diagonal, but
+    # the exact separable F-prox would drop them
+    Q = np.eye(3) + 5e-9 * (np.ones((3, 3)) - np.eye(3))
+    cfg = SolverConfig(gamma=1.0, max_iter=1, stop_tol=0.0, theory_mode=False)
+    prob = ProblemSpec(3, QuadraticLoss(Q, np.array([-1.0, 0.5, 2.0])), L1Penalty(0.3))
+    with pytest.raises(ConfigError):
+        ppa_solve(prob, cfg, np.zeros(3))
+    calls = []
+    oracle = solvers._f_prox_oracle
+    monkeypatch.setattr(solvers, "_f_prox_oracle", lambda *a: calls.append(a) or oracle(*a))
+    prob2 = ProblemSpec(2, QuadraticLoss(Q[:2, :2], np.array([-1.0, 0.5])), L1Penalty(0.3))
+    ppa_solve(prob2, cfg, np.zeros(2), oracle_window=4.0)
+    assert len(calls) == 1
