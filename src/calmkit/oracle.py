@@ -29,6 +29,10 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 200
 SCAN_CHUNK = 2_000_000   # grid points per vectorized evaluation of the scalar scan
 ACCEPT_TOL = 1e-7   # exact residual at which a cell root counts as a solution
+# Relative value gap below which two prox minimizers tie: the tolerance the
+# prox declares for its own tie sets (penalties.TIE_REL_TOL), so the oracle
+# and the prox split near-ties at the same place.
+PROX_TIE_TOL = 1e-12
 
 
 class OracleError(RuntimeError):
@@ -60,14 +64,19 @@ def _golden_refine(fn, lo, hi, tol=1e-12):
     return xs[i], vs[i]
 
 
-def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12):
+def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12,
+                           kinks=(), tie_tol=1e-9):
     """All global minimizers of a scalar function on [lo, hi].
 
     fn must accept numpy arrays (fn_scalar, when given, is a cheap scalar
     variant used during refinement).  Dense scan at step `grid`,
-    golden-section refinement of every local basin, then value filtering.
-    Returns (points, value, boundary_flag): boundary_flag is set when the
-    optimum sits on the scan boundary.
+    golden-section refinement of every local basin, then value filtering:
+    a point is kept when its value is within tie_tol * (1 + |best|) of the
+    best.  A kink (a point where fn may be nonsmooth) inside a basin's
+    bracket replaces the refined point when its value is no larger, so a
+    minimum at a kink carries its exact value.  Returns (points, value,
+    boundary_flag): boundary_flag is set when the optimum sits on the scan
+    boundary.
     """
     m = int(math.ceil((hi - lo) / grid)) + 1
     if m < 5:
@@ -97,11 +106,16 @@ def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12):
         a = lo + max(i - 1, 0) * grid
         b = lo + min(i + 1, m - 1) * grid
         t, v = _golden_refine(scalar, a, b, tol=refine_tol)
+        for k in kinks:
+            if a <= k <= b:
+                vk = scalar(k)
+                if vk <= v:
+                    t, v = k, vk
         refined.append((t, v))
     best = min(v for _, v in refined)
     if not math.isfinite(best):
         return [], best, True   # whole window infeasible: expand
-    tol = 1e-9 * (1.0 + abs(best))
+    tol = tie_tol * (1.0 + abs(best))
     pts = sorted(t for t, v in refined if v <= best + tol)
     out = []
     for t in pts:
@@ -117,7 +131,8 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
     """Global argmin set of phi(t) + (t-u)^2/(2 gamma) for a scalar penalty.
 
     Defaults: window 50*(1+|u|), grid 1e-5.  The window auto-expands once
-    if the optimum hits the boundary.
+    if the optimum hits the boundary.  The penalty's breakpoints are the
+    kinks, and minimizers tie within PROX_TIE_TOL.
     """
     if not penalty.separable:
         raise ConfigError("the prox oracle needs a separable penalty")
@@ -133,11 +148,14 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
     def fn_scalar(t):
         return penalty.scalar_value(t) + (t - u) ** 2 / (2.0 * gamma)
 
+    kinks = [float(t) for t in penalty.breakpoints()]
     for _attempt in range(2):
         lo, hi = u - window, u + window
         pts, _val, boundary = brute_force_scalar_min(fn, lo, hi, grid,
                                                      fn_scalar=fn_scalar,
-                                                     refine_tol=refine_tol)
+                                                     refine_tol=refine_tol,
+                                                     kinks=kinks,
+                                                     tie_tol=PROX_TIE_TOL)
         if not boundary:
             return pts
         window *= 2.0
