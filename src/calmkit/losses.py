@@ -92,7 +92,6 @@ def operator_norm(A) -> float:
 
 class SmoothLoss:
     family = "abstract"
-    needs_box = False
     twice_differentiable = True
 
     def __init__(self):
@@ -276,7 +275,6 @@ class ExponentialLoss(MarginLoss):
     """l(t) = e^{-t}; gradient Lipschitz only on boxes."""
 
     family = "exponential"
-    needs_box = True
 
     @staticmethod
     def ell(t):
@@ -309,7 +307,6 @@ class SigmoidNNLoss(SmoothLoss):
     """
 
     family = "sigmoid-nn"
-    needs_box = True
     twice_differentiable = False
 
     SIGMA_D1_MAX = 0.25

@@ -24,15 +24,12 @@ from scipy.optimize import least_squares
 
 from .core import ConfigError, StationarySetApprox
 from .losses import Box
+from .penalties import TIE_REL_TOL
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 200
 SCAN_CHUNK = 2_000_000   # grid points per vectorized evaluation of the scalar scan
 ACCEPT_TOL = 1e-7   # exact residual at which a cell root counts as a solution
-# Relative value gap below which two prox minimizers tie: the tolerance the
-# prox declares for its own tie sets (penalties.TIE_REL_TOL), so the oracle
-# and the prox split near-ties at the same place.
-PROX_TIE_TOL = 1e-12
 
 
 class OracleError(RuntimeError):
@@ -58,33 +55,25 @@ def _golden_refine(fn, lo, hi, tol=1e-12):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = fn(x2)
-    xs = [a, 0.5 * (a + b), b]
-    vs = [fn(x) for x in xs]
-    i = int(np.argmin(vs))
-    return xs[i], vs[i]
+    return min(((x, fn(x)) for x in (a, 0.5 * (a + b), b)), key=lambda xv: xv[1])
 
 
 def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12,
-                           kinks=(), tie_tol=1e-9):
+                           kinks=()):
     """All global minimizers of a scalar function on [lo, hi].
 
     fn must accept numpy arrays (fn_scalar, when given, is a cheap scalar
     variant used during refinement).  Dense scan at step `grid`,
-    golden-section refinement of every local basin, then value filtering:
-    a point is kept when its value is within tie_tol * (1 + |best|) of the
-    best.  A kink (a point where fn may be nonsmooth) inside a basin's
-    bracket replaces the refined point when its value is no larger, so a
-    minimum at a kink carries its exact value.  Returns (points, value,
-    boundary_flag): boundary_flag is set when the optimum sits on the scan
-    boundary.
+    golden-section refinement of every local basin (a kink in the bracket,
+    a point where fn may be nonsmooth, wins a tie: its value is exact), then
+    value filtering at the prox's tie tolerance TIE_REL_TOL * (1 + |best|).
+    Returns (points, value, boundary_flag): boundary_flag is set when the
+    optimum sits on the scan boundary.
     """
-    m = int(math.ceil((hi - lo) / grid)) + 1
-    if m < 5:
-        m = 5
+    m = max(int(math.ceil((hi - lo) / grid)) + 1, 5)
     cand_idx = []
     start = 0
-    scalar = fn_scalar if fn_scalar is not None \
-        else (lambda t: float(fn(np.array([t]))[0]))
+    scalar = fn_scalar or (lambda t: float(fn(np.array([t]))[0]))
     while start < m:
         stop = min(start + SCAN_CHUNK, m)
         idx = np.arange(max(start - 1, 0), min(stop + 1, m))
@@ -105,17 +94,13 @@ def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12,
     for i in sorted(set(cand_idx)):
         a = lo + max(i - 1, 0) * grid
         b = lo + min(i + 1, m - 1) * grid
-        t, v = _golden_refine(scalar, a, b, tol=refine_tol)
-        for k in kinks:
-            if a <= k <= b:
-                vk = scalar(k)
-                if vk <= v:
-                    t, v = k, vk
-        refined.append((t, v))
+        at_kinks = [(k, scalar(k)) for k in kinks if a <= k <= b]
+        refined.append(min(at_kinks + [_golden_refine(scalar, a, b, tol=refine_tol)],
+                           key=lambda tv: tv[1]))
     best = min(v for _, v in refined)
     if not math.isfinite(best):
         return [], best, True   # whole window infeasible: expand
-    tol = tie_tol * (1.0 + abs(best))
+    tol = TIE_REL_TOL * (1.0 + abs(best))
     pts = sorted(t for t, v in refined if v <= best + tol)
     out = []
     for t in pts:
@@ -131,8 +116,7 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
     """Global argmin set of phi(t) + (t-u)^2/(2 gamma) for a scalar penalty.
 
     Defaults: window 50*(1+|u|), grid 1e-5.  The window auto-expands once
-    if the optimum hits the boundary.  The penalty's breakpoints are the
-    kinks, and minimizers tie within PROX_TIE_TOL.
+    if the optimum hits the boundary.
     """
     if not penalty.separable:
         raise ConfigError("the prox oracle needs a separable penalty")
@@ -148,14 +132,12 @@ def brute_force_prox(penalty, u, gamma, window=None, grid=1e-5,
     def fn_scalar(t):
         return penalty.scalar_value(t) + (t - u) ** 2 / (2.0 * gamma)
 
-    kinks = [float(t) for t in penalty.breakpoints()]
     for _attempt in range(2):
         lo, hi = u - window, u + window
         pts, _val, boundary = brute_force_scalar_min(fn, lo, hi, grid,
                                                      fn_scalar=fn_scalar,
                                                      refine_tol=refine_tol,
-                                                     kinks=kinks,
-                                                     tie_tol=PROX_TIE_TOL)
+                                                     kinks=penalty.breakpoints())
         if not boundary:
             return pts
         window *= 2.0

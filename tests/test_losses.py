@@ -137,7 +137,7 @@ def test_gradient_lipschitz_property_on_box():
     for loss in sample_losses():
         if loss.n != 3:
             continue
-        L = loss.lipschitz_bound(box if loss.needs_box else None).value
+        L = loss.lipschitz_bound(box).value
         for _ in range(40):
             x = RNG.uniform(-1.5, 1.5, size=3)
             y = RNG.uniform(-1.5, 1.5, size=3)
