@@ -55,7 +55,10 @@ def _golden_refine(fn, lo, hi, tol=1e-12):
             a, x1, f1 = x1, x2, f2
             x2 = a + GOLDEN * (b - a)
             f2 = fn(x2)
-    return min(((x, fn(x)) for x in (a, 0.5 * (a + b), b)), key=lambda xv: xv[1])
+    xs = [a, 0.5 * (a + b), b]
+    vs = [fn(x) for x in xs]
+    i = int(np.argmin(vs))
+    return xs[i], vs[i]
 
 
 def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12,
@@ -70,10 +73,13 @@ def brute_force_scalar_min(fn, lo, hi, grid, fn_scalar=None, refine_tol=1e-12,
     Returns (points, value, boundary_flag): boundary_flag is set when the
     optimum sits on the scan boundary.
     """
-    m = max(int(math.ceil((hi - lo) / grid)) + 1, 5)
+    m = int(math.ceil((hi - lo) / grid)) + 1
+    if m < 5:
+        m = 5
     cand_idx = []
     start = 0
-    scalar = fn_scalar or (lambda t: float(fn(np.array([t]))[0]))
+    scalar = fn_scalar if fn_scalar is not None \
+        else (lambda t: float(fn(np.array([t]))[0]))
     while start < m:
         stop = min(start + SCAN_CHUNK, m)
         idx = np.arange(max(start - 1, 0), min(stop + 1, m))
