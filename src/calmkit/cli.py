@@ -109,8 +109,7 @@ def cmd_solve(args) -> int:
             beta = float(raw["beta"])
             D1, D2 = (None if raw.get(k) is None else np.asarray(raw[k], dtype=float)
                       for k in ("D1", "D2"))
-        cfg = SolverConfig(gamma=1.0, max_iter=args.max_iter, stop_tol=args.stop_tol,
-                           lipschitz_L=1.0, theory_mode=False)
+        cfg = _solver_config(args)
         m = len(raw["b"])
         start = (np.zeros(n1), np.zeros(n2), np.zeros(m))
         if args.x0:
@@ -127,13 +126,12 @@ def cmd_solve(args) -> int:
             sp = SaddleProblem(term_from_json(raw["phi1"], n),
                                term_from_json(raw["phi2"], m), raw["K"])
             tau, sigma = float(raw["tau"]), float(raw["sigma"])
-        cfg = SolverConfig(gamma=1.0, max_iter=args.max_iter, stop_tol=args.stop_tol,
-                           lipschitz_L=1.0, theory_mode=False)
+        cfg = _solver_config(args)
         start = (np.zeros(n), np.zeros(m))
         if args.x0:
             v = _parse_vector(args.x0, n + m)
             start = (v[:n], v[n:])
-        tr = pdhg_solve(sp, tau, sigma, cfg, start, theory_mode=not args.permissive)
+        tr = pdhg_solve(sp, tau, sigma, cfg, start)
         summary = {"solver": "pdhg", "iterations": len(tr) - 1,
                    "final_pnorm": float(tr.pnorms()[-1]),
                    "max_inclusion_residual": max(tr.inclusion_residuals[1:], default=0.0)}
@@ -342,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lipschitz", type=float, default=None)
     sp.add_argument("--box", default=None, help="lo,hi cube for box-scoped L")
     sp.add_argument("--permissive", action="store_true",
-                    help="disable the gamma < 1/L theory check")
+                    help="disable the theory checks: gamma < 1/L (pg, ppa) "
+                    "and tau*sigma*||K||^2 < 1 (pdhg)")
     sp.add_argument("--out", required=True)
     sp.add_argument("--summary", default=None)
     sp.set_defaults(fn=cmd_solve)

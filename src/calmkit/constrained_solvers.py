@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import ConfigError, NumericAbort, SolverConfig
-from .losses import Box, operator_norm
+from .losses import operator_norm
 from .penalties import Penalty, _sum, penalty_from_json
 
 CONVEX_FAMILIES = ("l1", "group-lasso", "box-indicator", "zero")
@@ -47,16 +47,11 @@ class ConvexTerm:
             self.kind = penalty.family
             self.Q = None
 
-    def subdiff_distance(self, x, v, box: Box | None = None) -> float:
-        """dist(v, d theta(x) + N_box(x)); box=None means the full space."""
+    def subdiff_distance(self, x, v) -> float:
+        """dist(v, d theta(x))."""
         if self.penalty is not None:
             return float(np.linalg.norm(self.penalty.subdiff_distances(x, v)))
-        x = np.asarray(x, dtype=float)
-        lo = hi = self.Q @ x + self.q
-        if box is not None:
-            lo = lo + np.where(x <= box.lo + 1e-12, -math.inf, 0.0)
-            hi = hi + np.where(x >= box.hi - 1e-12, math.inf, 0.0)
-        return float(np.linalg.norm(np.maximum(np.maximum(lo - v, v - hi), 0.0)))
+        return float(np.linalg.norm(self.Q @ np.asarray(x, dtype=float) + self.q - v))
 
 
 def term_from_json(d: dict, n: int) -> ConvexTerm:
@@ -70,15 +65,13 @@ def term_from_json(d: dict, n: int) -> ConvexTerm:
 
 @dataclass
 class LinearlyConstrainedProblem:
-    """min theta1(x) + theta2(y)  s.t.  A x + B y = b, x in X, y in Y."""
+    """min theta1(x) + theta2(y)  s.t.  A x + B y = b."""
 
     theta1: ConvexTerm
     theta2: ConvexTerm
     A: np.ndarray
     B: np.ndarray
     b: np.ndarray
-    X: Box | None = None
-    Y: Box | None = None
 
     def __post_init__(self):
         self.A = np.asarray(self.A, dtype=float)
@@ -154,33 +147,24 @@ class KKTTrace:
 # ---------------------------------------------------------------------------
 # GPADMM
 
-def _x_step_solver(term: ConvexTerm, M, box):
-    """Return a solver for argmin term(x) + 0.5 x^T M x - rhs^T x on the set.
+def _x_step_solver(term: ConvexTerm, M):
+    """Return a solver for argmin term(x) + 0.5 x^T M x - rhs^T x.
 
     M is beta A^T A + D for an ADMM block and I/tau for a PDHG step; solvable
-    configurations: quadratic term (M + Q factored once; diagonal for boxes)
-    or a penalty term with M = tau I (one prox_step, never with a box).
+    configurations: quadratic term (M + Q factored once) or a penalty term
+    with M = tau I (one prox_step).
     """
     n = term.n
     if term.kind == "quadratic":
         Mq = M + term.Q
-        if box is None:
-            if np.linalg.matrix_rank(Mq) < n:
-                raise ConfigError("singular subproblem; add a proximal weight D")
-            lu = scipy.linalg.lu_factor(Mq)
-            return lambda rhs: scipy.linalg.lu_solve(lu, rhs - term.q)
-        if not np.allclose(Mq, np.diag(np.diag(Mq)), atol=1e-12):
-            raise ConfigError("box-constrained quadratic step needs a diagonal form")
-        dq = np.diag(Mq)
-        if np.any(dq <= 0):
-            raise ConfigError("box-constrained quadratic step needs positive diagonal")
-        return lambda rhs: np.clip((rhs - term.q) / dq, box.lo, box.hi)
+        if np.linalg.matrix_rank(Mq) < n:
+            raise ConfigError("singular subproblem; add a proximal weight D")
+        lu = scipy.linalg.lu_factor(Mq)
+        return lambda rhs: scipy.linalg.lu_solve(lu, rhs - term.q)
     tau = float(np.mean(np.diag(M)))
     if tau <= 0 or not np.allclose(M, tau * np.eye(n), atol=1e-10 * max(1.0, tau)):
         raise ConfigError(
             "prox step for %r needs beta A^T A + D = tau I (linearized ADMM)" % term.kind)
-    if box is not None:
-        raise ConfigError("penalty term combined with an extra box set is unsupported")
     return lambda rhs: term.penalty.prox_step(rhs / tau, rhs / tau, 1.0 / tau)[0]
 
 
@@ -189,8 +173,8 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
     """Generalized proximal ADMM with per-iteration KKT perturbation checks.
 
     Each step verifies
-      D1 p1 - beta A^T B p2 in d theta1(x+) - A^T lam+ + N_X(x+),
-      D2 p2                 in d theta2(y+) - B^T lam+ + N_Y(y+),
+      D1 p1 - beta A^T B p2 in d theta1(x+) - A^T lam+,
+      D2 p2                 in d theta2(y+) - B^T lam+,
       p3 / beta             =  A x+ + B y+ - b,
     and records the largest membership residual.
     """
@@ -205,8 +189,8 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
         if (D.shape != (n, n) or not np.allclose(D, D.T, atol=1e-12)
                 or np.min(np.linalg.eigvalsh(D)) < -1e-9):
             raise ConfigError("proximal weights must be symmetric PSD")
-    x_solve = _x_step_solver(prob.theta1, beta * A.T @ A + D1, prob.X)
-    y_solve = _x_step_solver(prob.theta2, beta * B.T @ B + D2, prob.Y)
+    x_solve = _x_step_solver(prob.theta1, beta * A.T @ A + D1)
+    y_solve = _x_step_solver(prob.theta2, beta * B.T @ B + D2)
 
     x, y, lam = (np.array(v, dtype=float) for v in start)
     tr = KKTTrace(("x", "y", "lambda"))
@@ -221,8 +205,8 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
             raise NumericAbort("non-finite ADMM iterate")
         p = (x - x_new, y - y_new, lam - lam_new)
         mapped = (D1 @ p[0] - beta * (A.T @ (B @ p[1])), D2 @ p[1], p[2] / beta)
-        r_x = prob.theta1.subdiff_distance(x_new, mapped[0] + A.T @ lam_new, prob.X)
-        r_y = prob.theta2.subdiff_distance(y_new, mapped[1] + B.T @ lam_new, prob.Y)
+        r_x = prob.theta1.subdiff_distance(x_new, mapped[0] + A.T @ lam_new)
+        r_y = prob.theta2.subdiff_distance(y_new, mapped[1] + B.T @ lam_new)
         r_lam = float(np.linalg.norm(mapped[2] - (A @ x_new + B @ y_new - b)))
         resid = max(r_x, r_y, r_lam)
         tr.append((x_new, y_new, lam_new), p, mapped, resid)
@@ -237,25 +221,25 @@ def gpadmm_solve(prob: LinearlyConstrainedProblem, beta: float, D1, D2,
 # PDHG
 
 def pdhg_solve(prob: SaddleProblem, tau: float, sigma: float, cfg: SolverConfig,
-               start, theory_mode: bool = True) -> KKTTrace:
+               start) -> KKTTrace:
     """Primal-dual hybrid gradient with the optimality-inclusion check.
 
     Steps: x+ = Prox_phi1^tau(x - tau K^T y); y+ = Prox_phi2^sigma(y + sigma
     K (2x+ - x)), each an _x_step_solver step with M = I/tau, rhs = v/tau.
-    In theory mode the step rule tau sigma ||K||^2 < 1 is enforced, with
+    With cfg.theory_mode the step rule tau sigma ||K||^2 < 1 is enforced, with
     ||K|| from operator_norm's eigvalsh upper bound.
     """
     if tau <= 0 or sigma <= 0:
         raise ConfigError("step sizes must be positive")
     cfg.validate_iterations()
     K = prob.K
-    if theory_mode:
+    if cfg.theory_mode:
         nk = operator_norm(K)
         if not tau * sigma * nk * nk < 1.0:
             raise ConfigError("step condition tau*sigma*||K||^2 < 1 violated "
                               "(value %.6g)" % (tau * sigma * nk * nk))
-    x_solve = _x_step_solver(prob.phi1, np.eye(prob.phi1.n) / tau, None)
-    y_solve = _x_step_solver(prob.phi2, np.eye(prob.phi2.n) / sigma, None)
+    x_solve = _x_step_solver(prob.phi1, np.eye(prob.phi1.n) / tau)
+    y_solve = _x_step_solver(prob.phi2, np.eye(prob.phi2.n) / sigma)
     x, y = (np.array(v, dtype=float) for v in start)
     tr = KKTTrace(("x", "y"))
     tr.append((x, y))

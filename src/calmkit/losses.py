@@ -38,10 +38,6 @@ class Box:
     def cube(n: int, lo: float, hi: float) -> "Box":
         return Box(np.full(n, float(lo)), np.full(n, float(hi)))
 
-    def contains(self, x, slack=0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - slack) and np.all(x <= self.hi + slack))
-
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 
@@ -176,7 +172,7 @@ class StructuredCompositeLoss(SmoothLoss):
 
     family = "structured-composite"
 
-    def __init__(self, A, q, H, h0, mu_h=None):
+    def __init__(self, A, q, H, h0):
         self.A = np.asarray(A, dtype=float)
         self.q = np.asarray(q, dtype=float)
         self.H = np.asarray(H, dtype=float)
@@ -186,10 +182,8 @@ class StructuredCompositeLoss(SmoothLoss):
             raise LossError("inconsistent structured-composite dimensions")
         if not np.allclose(self.H, self.H.T, atol=1e-12):
             raise LossError("H must be symmetric")
-        w = np.linalg.eigvalsh(self.H)
-        if w[0] <= 0:
+        if np.linalg.eigvalsh(self.H)[0] <= 0:
             raise LossError("h must be strongly convex (H positive definite)")
-        self.mu_h = float(w[0]) if mu_h is None else float(mu_h)
         self.n = n
 
     def hessian(self, x):

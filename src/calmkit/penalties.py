@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +113,7 @@ def _scalar_prox_candidates(pieces, u, gamma):
     """Global argmin set of phi(t) + (t-u)^2/(2 gamma) over quadratic pieces.
 
     Each piece is (lo, hi, a2, a1, a0) with phi(t) = a2 t^2 + a1 t + a0 on
-    [lo, hi].  Returns (sorted argmin tuple, optimal value).
+    [lo, hi].  Returns the sorted argmin tuple.
     """
     inv2g = 0.5 / gamma
 
@@ -138,14 +137,14 @@ def _scalar_prox_candidates(pieces, u, gamma):
         # every value overflowed: the quadratic term dominates, so the
         # candidate nearest u wins
         ts = [t for t, _ in cands]
-        return ((max(ts) if u > 0 else min(ts)),), best
+        return ((max(ts) if u > 0 else min(ts)),)
     tol = TIE_REL_TOL * (1.0 + abs(best))
     mins = sorted(t for t, v in cands if v <= best + tol)
     out = []
     for t in mins:
         if not out or t - out[-1] > 1e-11 * (1.0 + abs(t)):
             out.append(t)
-    return tuple(out), best
+    return tuple(out)
 
 
 def select_closest(cands, ref):
@@ -256,10 +255,6 @@ class SeparablePenalty(Penalty):
     def __init__(self):
         self.pieces = pieces = tuple(self.scalar_pieces())
         self._lo, self._hi = pieces[0][0], pieces[-1][1]
-        # theta lies in region bisect_left(_cuts, theta): region j + 1 is
-        # inside piece j, regions 0 and len(pieces) + 1 outside the domain
-        self._cuts = (self._lo,) + tuple(pc[1] for pc in pieces)
-        self._slopes = (None,) + tuple((2.0 * pc[2], pc[3]) for pc in pieces) + (None,)
         # one-sided slopes (dl, dr) at each finite piece end; the domain
         # ends border no piece on their outer side
         self._joins = joins = {}
@@ -275,14 +270,7 @@ class SeparablePenalty(Penalty):
             joins[b] = (dl, dr)
         if math.isfinite(self._hi):
             joins[self._hi] = (_slope(pieces[-1], self._hi), math.inf)
-        # [dl, dr] at a convex kink or smooth join; at a concave kink no
-        # proximal subgradient, and the two slopes as limiting ones
-        self._prox_at_knot = {b: IntervalSet(((dl, dr),)) if dl <= dr else _EMPTY
-                              for b, (dl, dr) in joins.items()}
-        self._limiting_at_knot = {
-            b: IntervalSet(((dl, dr),)) if dl <= dr else IntervalSet.of((dr, dr), (dl, dl))
-            for b, (dl, dr) in joins.items()}
-        # value: piece searchsorted(_his, theta) holds theta, from _lo on
+        # _piece: value and subdifferentials locate theta by searchsorted(_his, theta)
         self._his = np.array([pc[1] for pc in pieces])
         self._coef = np.array([pc[2:] for pc in pieces]).T
         # prox candidates in _scalar_prox_candidates' order: per piece its
@@ -306,11 +294,16 @@ class SeparablePenalty(Penalty):
                 return a2 * theta * theta + a1 * theta + a0
         return math.inf
 
-    def _phi(self, theta):
-        """phi at every entry of theta, as scalar_value computes it: on the
-        first piece whose right end is at or after theta, +inf off the domain."""
+    def _piece(self, theta):
+        """(j, (a2, a1, a0)) at every entry of theta: piece j is the first
+        whose right end is at or after theta, j = len(pieces) past the domain."""
         j = np.searchsorted(self._his, theta)
-        a2, a1, a0 = self._coef[:, np.minimum(j, len(self.pieces) - 1)]
+        return j, self._coef[:, np.minimum(j, len(self.pieces) - 1)]
+
+    def _phi(self, theta):
+        """phi at every entry of theta, as scalar_value computes it: on its
+        _piece, +inf off the domain."""
+        j, (a2, a1, a0) = self._piece(theta)
         vals = a2 * theta * theta + a1 * theta + a0
         return np.where((theta >= self._lo) & (j < len(self.pieces)), vals, math.inf)
 
@@ -326,7 +319,7 @@ class SeparablePenalty(Penalty):
         return np.add.accumulate(self._phi(X), axis=1)[:, -1]
 
     def prox_scalar(self, u: float, gamma: float):
-        return _scalar_prox_candidates(self.pieces, float(u), gamma)[0]
+        return _scalar_prox_candidates(self.pieces, float(u), gamma)
 
     def prox_coordinate_sets(self, u, gamma):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -396,23 +389,22 @@ class SeparablePenalty(Penalty):
         S = np.sort(S, axis=1)
         return S[:, :max(int(np.isfinite(S).sum(axis=1).max()), 1)]
 
-    def _subdiff(self, theta, at_knot):
-        s = at_knot.get(theta)
-        if s is None:
-            c = self._slopes[bisect_left(self._cuts, theta)]
-            if c is None:
-                return _EMPTY
-            v = c[0] * theta + c[1]
-            s = IntervalSet(((v, v),))
-        return s
-
     def prox_subdiff(self, theta: float) -> IntervalSet:
         """Proximal subdifferential of phi at theta: empty at a concave kink."""
-        return self._subdiff(theta, self._prox_at_knot)
+        return self._subdiff_at(theta, False)
 
     def limiting_subdiff(self, theta: float) -> IntervalSet:
         """Limiting subdifferential: the two one-sided slopes at a concave kink."""
-        return self._subdiff(theta, self._limiting_at_knot)
+        return self._subdiff_at(theta, True)
+
+    def _subdiff_at(self, theta, limiting):
+        """The one-point case of subdiff_bounds_array, as an IntervalSet; the
+        limiting set at a concave kink is its two slopes, not their hull."""
+        dl, dr = self._joins.get(theta, (0.0, 0.0))
+        if limiting and dl > dr:
+            return IntervalSet(((dr, dr), (dl, dl)))
+        lo, hi = (float(a) for a in self.subdiff_bounds_array(theta, limiting))
+        return _EMPTY if lo > hi else IntervalSet(((lo, hi),))
 
     def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
         x, v = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (x, v))
@@ -432,17 +424,20 @@ class SeparablePenalty(Penalty):
         that case.
         """
         theta = np.asarray(theta, dtype=float)
-        r = np.searchsorted(self._cuts, theta)
-        coef = np.array([s or (0.0, 0.0) for s in self._slopes])[r]
-        slope = coef[..., 0] * theta + coef[..., 1]
-        inside = (r > 0) & (r <= len(self.pieces))
+        j, (a2, a1, _a0) = self._piece(theta)
+        slope = 2.0 * a2 * theta + a1
+        # strictly past _lo: a finite _lo is a knot, and -inf holds no piece
+        inside = (theta > self._lo) & (j < len(self.pieces))
         lo = np.where(inside, slope, math.inf)
         hi = np.where(inside, slope, -math.inf)
-        for b, s in (self._limiting_at_knot if limiting else self._prox_at_knot).items():
+        # [dl, dr] at a convex kink or smooth join; at a concave kink no
+        # proximal subgradient, and the hull of the two limiting ones
+        for b, (dl, dr) in self._joins.items():
+            if dl > dr:
+                dl, dr = (dr, dl) if limiting else (math.inf, -math.inf)
             at = theta == b
-            h = s.hull() or (math.inf, -math.inf)
-            lo = np.where(at, h[0], lo)
-            hi = np.where(at, h[1], hi)
+            lo = np.where(at, dl, lo)
+            hi = np.where(at, dr, hi)
         return lo, hi
 
     def graph(self) -> PolylineGraph:

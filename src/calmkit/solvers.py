@@ -68,7 +68,7 @@ def _f_prox_exact_separable(prob, gamma, xk):
     for i in range(prob.n):
         pieces = [(lo, hi, a2 + 0.5 * Q[i, i], a1 + q[i], a0)
                   for lo, hi, a2, a1, a0 in prob.penalty.pieces]
-        cands, _ = _scalar_prox_candidates(pieces, float(xk[i]), gamma)
+        cands = _scalar_prox_candidates(pieces, float(xk[i]), gamma)
         out[i] = select_closest(cands, float(xk[i]))
     return out
 

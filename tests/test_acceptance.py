@@ -338,7 +338,7 @@ def test_acceptance_10_pdhg_saddle():
     sp = SaddleProblem(ConvexTerm(2, quadratic=(P, p)),
                        ConvexTerm(2, quadratic=(R, r)), K)
     cfg = SolverConfig(gamma=1.0, max_iter=2000, stop_tol=0.0,
-                       lipschitz_L=1.0, theory_mode=False)
+                       lipschitz_L=1.0, theory_mode=True)
     tr = pdhg_solve(sp, tau, sigma, cfg, (np.zeros(2), np.zeros(2)))
     x, y = tr.final
     err = max(float(np.linalg.norm(x - x_star)), float(np.linalg.norm(y - y_star)))

@@ -56,7 +56,8 @@ def test_admm_qp_reaches_kkt(tmp_path):
                "--max-iter", "400", "--stop-tol", "1e-15",
                "--out", out, "--summary", summ])
     assert rc == 0
-    rows = open(out).read().strip().splitlines()
+    with open(out) as fh:
+        rows = fh.read().strip().splitlines()
     last = rows[-1].split(",")
     # final errors vs (reference = final iterate) are zero; inclusion <= 1e-8
     assert float(last[-1]) <= 1e-8
@@ -69,6 +70,16 @@ def test_pdhg_runs(tmp_path):
                "--out", str(tmp_path / "t.csv"),
                "--x0", "1.0,-1.0"])
     assert rc == 0
+
+
+def test_pdhg_step_rule_follows_permissive(tmp_path, capsys):
+    # tau*sigma*||K||^2 = 0.5 * 0.5 * 4 = 1 breaks the strict step rule
+    prob = write(tmp_path, "p.json", dict(PDHG, K=[[2.0]]))
+    argv = ["solve", "--problem", prob, "--solver", "pdhg", "--max-iter", "5",
+            "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 2
+    assert "step condition" in capsys.readouterr().err
+    assert main(argv + ["--permissive"]) == 0
 
 
 def test_diagnose_round_trip_reproduces_in_process(tmp_path, capsys):

@@ -17,9 +17,9 @@ def quad_term(n, diag=1.0):
     return ConvexTerm(n, quadratic=(diag * np.eye(n), np.zeros(n)))
 
 
-def cfg(iters, tol=0.0):
+def cfg(iters, tol=0.0, theory_mode=False):
     return SolverConfig(gamma=1.0, max_iter=iters, stop_tol=tol,
-                        lipschitz_L=1.0, theory_mode=False)
+                        lipschitz_L=1.0, theory_mode=theory_mode)
 
 
 def two_variable_qp():
@@ -201,7 +201,7 @@ def test_pdhg_quadratic_step_is_the_linear_solve():
     sp = SaddleProblem(ConvexTerm(n, quadratic=(0.5 * (Q + Q.T), q)),
                        ConvexTerm(m, quadratic=(np.eye(m), np.zeros(m))), K)
     x, y = rng.standard_normal(n), rng.standard_normal(m)
-    tr = pdhg_solve(sp, tau, sigma, cfg(1), (x, y), theory_mode=False)
+    tr = pdhg_solve(sp, tau, sigma, cfg(1), (x, y))
     want = np.linalg.solve(np.eye(n) + tau * sp.phi1.Q, x - tau * (K.T @ y) - tau * q)
     assert np.allclose(tr.iterates[1][0], want, rtol=1e-12, atol=1e-12)
 
@@ -226,7 +226,8 @@ def test_admm_rejects_prox_step_without_identity_form():
 
 def test_pdhg_quadratic_saddle_converges():
     sp = SaddleProblem(quad_term(1), quad_term(1), [[1.0]])
-    tr = pdhg_solve(sp, 0.5, 0.5, cfg(200, 1e-14), (np.array([1.0]), np.array([-1.0])))
+    tr = pdhg_solve(sp, 0.5, 0.5, cfg(200, 1e-14, theory_mode=True),
+                    (np.array([1.0]), np.array([-1.0])))
     x, y = tr.final
     assert abs(x[0]) < 1e-9 and abs(y[0]) < 1e-9
     assert max(tr.inclusion_residuals) <= 1e-8
@@ -234,7 +235,7 @@ def test_pdhg_quadratic_saddle_converges():
 
 def test_pdhg_fixed_point_start():
     sp = SaddleProblem(quad_term(1), quad_term(1), [[1.0]])
-    tr = pdhg_solve(sp, 0.5, 0.5, cfg(5), (np.zeros(1), np.zeros(1)))
+    tr = pdhg_solve(sp, 0.5, 0.5, cfg(5, theory_mode=True), (np.zeros(1), np.zeros(1)))
     assert all(tr.pnorm(k) == 0.0 for k in range(1, len(tr)))
 
 
@@ -243,7 +244,8 @@ def test_pdhg_l1_primal_box_dual():
     from calmkit.penalties import BoxIndicator
     sp = SaddleProblem(ConvexTerm(1, penalty=L1Penalty(0.6)),
                        ConvexTerm(1, penalty=BoxIndicator(-1.0, 1.0)), [[1.0]])
-    tr = pdhg_solve(sp, 0.7, 0.7, cfg(500, 1e-13), (np.array([2.0]), np.array([0.0])))
+    tr = pdhg_solve(sp, 0.7, 0.7, cfg(500, 1e-13, theory_mode=True),
+                    (np.array([2.0]), np.array([0.0])))
     assert max(tr.inclusion_residuals) <= 1e-8
     x, y = tr.final
     # saddle: 0 in d(0.6|x|) + y and 0 in N_[-1,1](y) - x -> x = 0, |y| <= 0.6
@@ -253,9 +255,9 @@ def test_pdhg_l1_primal_box_dual():
 def test_pdhg_step_rule_enforced():
     sp = SaddleProblem(quad_term(1), quad_term(1), [[2.0]])
     with pytest.raises(ConfigError, match="step condition"):
-        pdhg_solve(sp, 0.5, 0.5, cfg(5), (np.zeros(1), np.zeros(1)))
-    # permissive mode runs anyway
-    pdhg_solve(sp, 0.5, 0.5, cfg(5), (np.zeros(1), np.zeros(1)), theory_mode=False)
+        pdhg_solve(sp, 0.5, 0.5, cfg(5, theory_mode=True), (np.zeros(1), np.zeros(1)))
+    # without theory mode it runs anyway
+    pdhg_solve(sp, 0.5, 0.5, cfg(5), (np.zeros(1), np.zeros(1)))
 
 
 def test_kkt_trace_csv(tmp_path):

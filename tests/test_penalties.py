@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from calmkit.oracle import brute_force_prox
 from calmkit.penalties import (BoxIndicator, GroupLasso, IntervalSet, L1Penalty,
                                McpPenalty, NegAbsPenalty, PenaltyError,
-                               ScadPenalty, ZeroPenalty, graph, limiting_subdiff_scalar,
-                               penalty_from_json, penalty_value, prox,
-                               prox_subdiff_scalar)
+                               ScadPenalty, SeparablePenalty, ZeroPenalty, graph,
+                               limiting_subdiff_scalar, penalty_from_json,
+                               penalty_value, prox, prox_subdiff_scalar)
 
 SEPARABLE = [ZeroPenalty(), L1Penalty(1.0), L1Penalty(2.5), ScadPenalty(1.0, 3.0),
              ScadPenalty(0.7, 3.7), McpPenalty(1.0, 2.0), McpPenalty(1.4, 2.5),
@@ -217,6 +217,46 @@ def test_subdiff_distances_equal_the_scalar_sets_bit_for_bit(g, limiting):
     want = np.array([sd(float(x)).distance(float(v)) for x, v in pairs])
     got = g.subdiff_distances(xs, vs, limiting)
     assert got.tobytes() == want.tobytes()
+
+
+class _SquareMinusAbs(SeparablePenalty):
+    """phi(t) = t^2 - |t|: a concave kink between two curved pieces."""
+
+    family = "square-minus-abs"
+
+    def scalar_pieces(self):
+        return [(-math.inf, 0.0, 1.0, 1.0, 0.0), (0.0, math.inf, 1.0, -1.0, 0.0)]
+
+
+def _bits(s):
+    return [(float(a).hex(), float(b).hex()) for a, b in s.intervals]
+
+
+@pytest.mark.parametrize("g", SEPARABLE + [_SquareMinusAbs()], ids=lambda g: g.family)
+def test_scalar_subdifferentials_are_the_one_point_case(g):
+    pts = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for b in g.breakpoints():
+        pts += [b, float(np.nextafter(b, -math.inf)), float(np.nextafter(b, math.inf))]
+    for lo, hi, *_ in g.pieces:
+        # a piece interior, and a point past each finite domain end
+        pts.append(0.5 * (lo + hi) if math.isfinite(lo + hi)
+                   else lo + 1.0 if math.isfinite(lo) else hi - 1.0 if math.isfinite(hi)
+                   else 0.5)
+    pts += [g.pieces[0][0] - 1.0, g.pieces[-1][1] + 1.0]
+    for t in pts:
+        # phi' = 0 * t + a1 is nan at t = +-inf on a flat piece, on both routes
+        with np.errstate(invalid="ignore"):
+            (plo,), (phi,) = g.subdiff_bounds_array(np.array([t]))
+            (llo,), (lhi,) = g.subdiff_bounds_array(np.array([t]), limiting=True)
+            prox_sd, lim_sd = g.prox_subdiff(t), g.limiting_subdiff(t)
+        want = IntervalSet.empty() if plo > phi else IntervalSet(((plo, phi),))
+        assert _bits(prox_sd) == _bits(want), (g.family, t)
+        dl, dr = g._joins.get(t, (0.0, 0.0))
+        if dl > dr:
+            want = IntervalSet(((dr, dr), (dl, dl)))
+        else:
+            want = IntervalSet.empty() if llo > lhi else IntervalSet(((llo, lhi),))
+        assert _bits(lim_sd) == _bits(want), (g.family, t)
 
 
 # ---------------------------------------------------------------------------
