@@ -224,6 +224,11 @@ class MarginLoss(SmoothLoss):
         self.n = self.C.shape[1]
         self.M = self.d[:, None] * self.C  # rows d_i c_i
 
+    def value_and_gradient(self, x):
+        """One margin product serves both, bit-identical to (value(x), gradient(x))."""
+        T = self._check(x)[None] @ self.M.T
+        return float(np.sum(self.ell(T), axis=1)[0]), (self.dell(T) @ self.M)[0]
+
     def value_many(self, X):
         return np.sum(self.ell(np.atleast_2d(X) @ self.M.T), axis=1)
 

@@ -1,10 +1,8 @@
 """Nonsmooth regularizers: values, exact set-valued prox, subdifferentials, graphs.
 
-Separable families expose a scalar piece phi with g(x) = sum_i phi(x_i).
-The prox of a scalar piece is computed by exact enumeration of the finitely
-many quadratic pieces of phi(t) + (t - u)^2 / (2*gamma), so it is correct
-for every admissible step size, including tie cases where the prox is
-set-valued.
+Separable families expose a scalar piece phi with g(x) = sum_i phi(x_i), a
+table of quadratic pieces; compile_prox turns it, at each step size, into the
+exact prox as a monotone piecewise-affine map of u, set-valued at its jumps.
 """
 
 from __future__ import annotations
@@ -12,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,14 +18,10 @@ from .graphs_cones import Piece, PolylineGraph, segment
 
 TIE_REL_TOL = 1e-12  # relative tolerance for declaring multiple global prox minimizers
 KINK_REL_TOL = 1e-12  # one-sided slopes this close meet smoothly (no kink)
-# Separable families switch from the per-coordinate scalar routines to the
-# array kernels (prox and value) at this dimension; both give bit-identical
-# results.  Crossover of prox_step, microseconds scalar/array (min of 15
-# runs, 2-core x86-64, numpy 2.4, one BLAS thread):
-#   n = 8:  l1 96/116, scad 207/122, mcp 138/118, negabs 56/71,   box 48/74
-#   n = 12: l1 126/156, scad 251/97, mcp 192/159, negabs 148/120, box 119/117
-#   n = 16: l1 180/94, scad 303/119, mcp 226/107, negabs 147/125, box 143/118
-# value (scad) costs 4-18 us scalar and 14-25 us array for n = 2..16.
+# A separable family's value switches from the per-coordinate scalar_value
+# to the array kernel _phi at this dimension; both give bit-identical sums.
+# value (scad) costs 4-18 us scalar and 14-25 us array for n = 2..16
+# (2-core x86-64, numpy 2.4, one BLAS thread).
 ARRAY_MIN_N = 12
 
 
@@ -107,44 +102,100 @@ class ProxResult:
 
 
 # ---------------------------------------------------------------------------
-# scalar piecewise-quadratic machinery
+# the compiled prox map
 
-def _scalar_prox_candidates(pieces, u, gamma):
-    """Global argmin set of phi(t) + (t-u)^2/(2 gamma) over quadratic pieces.
+def _formula(a1, l2, lo, hi, end, u, gamma):
+    """A prox formula at u: end if not nan, else the vertex (u/gamma - a1) / l2
+    clamped as min(max(t, lo), hi) does, keeping t (and its sign) on a tie."""
+    t = (u / gamma - a1) / l2
+    t = np.where(hi < t, hi, np.where(lo > t, lo, t))
+    return np.where(np.isnan(end), t, end)
 
-    Each piece is (lo, hi, a2, a1, a0) with phi(t) = a2 t^2 + a1 t + a0 on
-    [lo, hi].  Returns the sorted argmin tuple.
+
+class ProxMap(NamedTuple):
+    """Segment k of the prox is _formula of rows[:, k]; edges holds thr -+ w per
+    threshold, w > 0 only at a jump, whose tie band holds both formulas."""
+
+    gamma: float
+    edges: np.ndarray
+    rows: np.ndarray
+
+    def points(self, u):
+        """The prox of each u: a column, and one padded with +inf for tie bands."""
+        j = np.searchsorted(self.edges, u)
+        t = _formula(*self.rows[:, j >> 1], u, self.gamma)
+        if not (j & 1).any():
+            return t[:, None]
+        t2 = _formula(*self.rows[:, (j >> 1) + (j & 1)], u, self.gamma)
+        return np.column_stack([t, np.where(j & 1, t2, math.inf)])
+
+
+def compile_prox(pieces, gamma) -> ProxMap:
+    """The prox of phi(t) + (t - u)^2 / (2 gamma) as a map of u; phi is a2 t^2
+    + a1 t + a0 on each of the touching pieces (lo, hi, a2, a1, a0).
+
+    The candidates are each piece's clamped vertex (if lead = a2 + 1/(2 gamma)
+    > 0) and each finite knot.  Less u^2/(2 gamma) each value is quadratic in
+    s = u/gamma, so the lowest changes only at clamp points and crossings.  A
+    vertex meets its own knots, and its neighbour's vertex but at a concave
+    kink, only tangentially, at double roots good to sqrt(eps): those pairs
+    are left out.  Where t jumps from t- to t+ at thr with value V*, the two
+    values are within the tie tolerance, to first order, for |u - thr| <=
+    gamma TIE_REL_TOL (1 + |V*|) / (t+ - t-).
     """
-    inv2g = 0.5 / gamma
-
-    def total(t, a2, a1, a0):
-        d = t - u
-        return a2 * t * t + a1 * t + a0 + inv2g * (d * d)
-
-    cands = []
-    for lo, hi, a2, a1, a0 in pieces:
-        lead = a2 + inv2g
-        if lead > 0.0:
-            t = (u / gamma - a1) / (2.0 * lead)
-            t = min(max(t, lo), hi)
-            if math.isfinite(t):
-                cands.append((t, total(t, a2, a1, a0)))
-        for t in (lo, hi):
-            if math.isfinite(t):
-                cands.append((t, total(t, a2, a1, a0)))
-    best = min(v for _, v in cands)
-    if best == math.inf:
-        # every value overflowed: the quadratic term dominates, so the
-        # candidate nearest u wins
-        ts = [t for t, _ in cands]
-        return ((max(ts) if u > 0 else min(ts)),)
-    tol = TIE_REL_TOL * (1.0 + abs(best))
-    mins = sorted(t for t, v in cands if v <= best + tol)
-    out = []
-    for t in mins:
-        if not out or t - out[-1] > 1e-11 * (1.0 + abs(t)):
-            out.append(t)
-    return tuple(out)
+    lo, hi, a2, a1, a0 = np.array(pieces, dtype=float).reshape(-1, 5).T
+    m, k, inv2g = lo.size, np.arange(lo.size), 0.5 / gamma
+    l2 = 2.0 * (a2 + inv2g)
+    arc = l2 > 0.0
+    # branch b < m is piece b's vertex, m + b the knot ending piece b - 1 (its
+    # value from that piece) and starting piece b.  Per branch: a1, 2 lead (1
+    # at a knot: none divides by 2 lead <= 0), lo, hi, end (nan at a vertex), a2, a0
+    knot = np.append(lo[:1], hi)
+    live = np.append(arc, np.isfinite(knot))
+    e = np.where(live[m:], knot, 0.0)
+    F = np.array([a1, np.where(arc, l2, 1.0), lo, hi, np.full(m, math.nan), a2, a0])
+    F = np.concatenate([F, F[:, np.append(np.maximum(k - 1, 0), m - 1)]], axis=1)
+    F[1, m:], F[4, m:] = 1.0, e
+    # each branch's value A s^2 + B s + C on its range [slo, shi]
+    A = np.append(-0.5 / F[1, :m], np.zeros(m + 1))
+    B = np.append(a1 / F[1, :m], -e)
+    C = np.append(a0 - 0.5 * a1 * a1 / F[1, :m],
+                  F[5, m:] * e * e + F[0, m:] * e + F[6, m:] + inv2g * e * e)
+    slo = np.where(live, np.append(l2 * lo + a1, np.full(m + 1, -math.inf)), math.inf)
+    shi = np.where(live, np.append(l2 * hi + a1, np.full(m + 1, math.inf)), -math.inf)
+    tangent = np.zeros((2 * m + 1, 2 * m + 1), dtype=bool)
+    tangent[k, m + k] = tangent[k, m + k + 1] = True
+    dl, dr = 2.0 * a2[:-1] * hi[:-1] + a1[:-1], 2.0 * a2[1:] * hi[:-1] + a1[1:]
+    tangent[k[:-1], k[1:]] = dl - dr <= KINK_REL_TOL * (1.0 + np.abs(dl) + np.abs(dr))
+    dA, dB, dC = A[:, None] - A, B[:, None] - B, C[:, None] - C
+    disc = dB * dB - 4.0 * dA * dC
+    q = -0.5 * (dB + np.copysign(np.sqrt(np.maximum(disc, 0.0)), dB))
+    s = np.stack([np.divide(q, dA, out=np.full_like(q, math.nan), where=dA != 0.0),
+                  np.divide(dC, q, out=np.full_like(q, math.nan), where=q != 0.0)])
+    ok = ((disc >= 0.0) & ~(tangent | tangent.T) & (s >= np.maximum(slo[:, None], slo))
+          & (s <= np.minimum(shi[:, None], shi)))
+    thr = gamma * np.concatenate([s[ok], slo[:m], shi[:m]])    # crossings, clamp points
+    thr = np.sort(thr[np.isfinite(thr)])
+    # one of each run of duplicates, exact or from root rounding
+    thr = thr[np.diff(thr, prepend=-math.inf) > 1e-13 * (1.0 + np.abs(thr))]
+    # every branch inside each segment (even rows of x) and at each threshold
+    # (odd rows); the lowest value wins a segment, a vertex first on a tie
+    x = np.zeros((2 * thr.size + 1, 1))
+    if thr.size:
+        x[1::2, 0], x[2:-1:2, 0] = thr, 0.5 * (thr[1:] + thr[:-1])
+        x[0], x[-1] = thr[0] - 1.0 - abs(thr[0]), thr[-1] + 1.0 + abs(thr[-1])
+    T = _formula(*F[:5, None, :], x, gamma)
+    val = np.where(live, F[5] * T * T + F[0] * T + F[6] + inv2g * (T - x) ** 2, math.inf)
+    win = np.argmin(val, axis=1)[::2]
+    keep = win[1:] != win[:-1]
+    at, thr, left, right = 2 * np.flatnonzero(keep) + 1, thr[keep], win[:-1][keep], win[1:][keep]
+    tl, tr = T[at, left], T[at, right]
+    w = np.divide(gamma * TIE_REL_TOL * (1.0 + np.abs(val[at, left])), tr - tl,
+                  out=np.zeros_like(thr), where=tr - tl > 1e-9 * (1.0 + np.abs(tl) + np.abs(tr)))
+    half = 0.5 * np.concatenate([[math.inf], thr[1:] - thr[:-1], [math.inf]])
+    w = np.minimum(w, np.minimum(half[:-1], half[1:]))     # bands never overlap
+    return ProxMap(gamma, np.stack([thr - w, thr + w], axis=1).ravel(),
+                   F[:5, np.concatenate([win[:1], right])])
 
 
 def select_closest(cands, ref):
@@ -245,12 +296,13 @@ def _slope(piece, t):
 class SeparablePenalty(Penalty):
     """g(x) = sum_i phi(x_i) for one scalar piece phi.
 
-    A family is its scalar_pieces() table.  The constructor compiles the
-    table once: value, prox, both subdifferentials, their bounds and the
+    A family is its scalar_pieces() table: value, prox (compile_prox, on
+    first use at each step size), both subdifferentials, their bounds and the
     subdifferential graph all follow from it.
     """
 
     separable = True
+    _prox_map = None
 
     def __init__(self):
         self.pieces = pieces = tuple(self.scalar_pieces())
@@ -273,13 +325,6 @@ class SeparablePenalty(Penalty):
         # _piece: value and subdifferentials locate theta by searchsorted(_his, theta)
         self._his = np.array([pc[1] for pc in pieces])
         self._coef = np.array([pc[2:] for pc in pieces]).T
-        # prox candidates in _scalar_prox_candidates' order: per piece its
-        # clamped vertex (end = nan), then each finite end with its coefficients
-        cols = []
-        for lo, hi, a2, a1, a0 in pieces:
-            cols.append((math.nan, lo, hi, a2, a1, a0))
-            cols += [(t, lo, hi, a2, a1, a0) for t in (lo, hi) if math.isfinite(t)]
-        self._prox_table = np.array(cols).T
 
     def scalar_pieces(self):
         """Quadratic pieces (lo, hi, a2, a1, a0) of phi, left to right, covering its domain."""
@@ -318,76 +363,26 @@ class SeparablePenalty(Penalty):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.add.accumulate(self._phi(X), axis=1)[:, -1]
 
+    def _prox_points(self, u, gamma):
+        """ProxMap.points, compiled on first use and kept for the last gamma."""
+        if self._prox_map is None or self._prox_map.gamma != gamma:
+            self._prox_map = compile_prox(self.pieces, gamma)
+        return self._prox_map.points(np.atleast_1d(np.asarray(u, dtype=float)))
+
     def prox_scalar(self, u: float, gamma: float):
-        return _scalar_prox_candidates(self.pieces, float(u), gamma)
+        return self.prox_coordinate_sets(u, gamma)[0]
 
     def prox_coordinate_sets(self, u, gamma):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.size < ARRAY_MIN_N:
-            return [self.prox_scalar(float(ui), gamma) for ui in u]
-        P = self._prox_array(u, gamma)
+        P = self._prox_points(u, gamma)
         return [tuple(r[:c]) for r, c in zip(P.tolist(), np.isfinite(P).sum(axis=1).tolist())]
 
     def prox_step(self, x, u, gamma):
-        u = np.asarray(u, dtype=float)
-        if u.size < ARRAY_MIN_N:
-            return super().prox_step(x, u, gamma)
-        x = np.asarray(x, dtype=float)
-        P = self._prox_array(u, gamma)
+        P = self._prox_points(u, gamma)
+        D = np.asarray(x, dtype=float)[:, None] - P
         # select_closest over each row; the +inf padding never wins
-        x_next = P[:, 0].copy()
-        best = np.abs(x_next - x)
-        for c in P.T[1:]:
-            d = np.abs(c - x)
-            closer = d < best - 1e-15
-            x_next[closer] = c[closer]
-            best[closer] = d[closer]
-        D = x[:, None] - P
-        sq = (D * D).min(axis=1)
-        return x_next, math.sqrt(_sum(sq))
-
-    def _prox_array(self, u, gamma):
-        """Every coordinate's prox minimizers, ascending, padded with +inf.
-
-        The array form of _scalar_prox_candidates over the candidate table,
-        operation for operation, so the sets are bit-identical to it.
-        """
-        end, lo, hi, a2, a1, a0 = self._prox_table
-        inv2g = 0.5 / gamma
-        lead = a2 + inv2g
-        vertex = np.isnan(end)
-        cols = ~vertex | (lead > 0.0)
-        end, lo, hi, a2, a1, a0, lead, vertex = (
-            a[cols] for a in (end, lo, hi, a2, a1, a0, lead, vertex))
-        T = np.empty((u.size, end.size))
-        T[:, ~vertex] = end[~vertex]
-        t = (u[:, None] / gamma - a1[vertex]) / (2.0 * lead[vertex])
-        # Python's min(max(t, lo), hi), which keeps t (and its signed zero) on a tie
-        t = np.where(lo[vertex] > t, lo[vertex], t)
-        T[:, vertex] = np.where(hi[vertex] < t, hi[vertex], t)
-        D = T - u[:, None]
-        V = a2 * T * T + a1 * T + a0 + inv2g * (D * D)
-        finite = np.isfinite(T)
-        best = np.where(finite, V, math.inf).min(axis=1)
-        tie = finite & (V <= (best + TIE_REL_TOL * (1.0 + np.abs(best)))[:, None])
-        over = (best == math.inf) & finite.any(axis=1)
-        if over.any():
-            # as in _scalar_prox_candidates: the candidate nearest u wins
-            Tf = np.where(finite, T, math.nan)[over]
-            near = np.where(u[over] > 0, np.nanmax(Tf, axis=1), np.nanmin(Tf, axis=1))
-            tie[over] = Tf == near[:, None]
-        # stable sort: equal values (0.0 and -0.0) keep the enumeration order
-        S = np.sort(np.where(tie, T, math.inf), axis=1, kind="stable")
-        S = S[:, :max(int(tie.sum(axis=1).max()), 1)]
-        # keep a value only if it clears the last *kept* one
-        last = S[:, 0]
-        for j in range(1, S.shape[1]):
-            c = S[:, j]
-            drop = ~(c - last > 1e-11 * (1.0 + np.abs(c)))
-            S[drop, j] = math.inf
-            last = np.where(drop, last, c)
-        S = np.sort(S, axis=1)
-        return S[:, :max(int(np.isfinite(S).sum(axis=1).max()), 1)]
+        x_next = P[:, 0] if P.shape[1] == 1 else \
+            np.where(np.abs(D[:, 1]) < np.abs(D[:, 0]) - 1e-15, P[:, 1], P[:, 0])
+        return x_next, math.sqrt(_sum((D * D).min(axis=1)))
 
     def prox_subdiff(self, theta: float) -> IntervalSet:
         """Proximal subdifferential of phi at theta: empty at a concave kink."""
@@ -425,7 +420,7 @@ class SeparablePenalty(Penalty):
         """
         theta = np.asarray(theta, dtype=float)
         j, (a2, a1, _a0) = self._piece(theta)
-        slope = 2.0 * a2 * theta + a1
+        slope = 2.0 * a2 * np.where(a2 == 0.0, 0.0, theta) + a1   # a flat piece: a1, at +-inf too
         # strictly past _lo: a finite _lo is a knot, and -inf holds no piece
         inside = (theta > self._lo) & (j < len(self.pieces))
         lo = np.where(inside, slope, math.inf)
@@ -474,11 +469,10 @@ class ZeroPenalty(SeparablePenalty):
     def scalar_pieces(self):
         return [(-math.inf, math.inf, 0.0, 0.0, 0.0)]
 
-    def prox_scalar(self, u, gamma):
-        return (float(u),)   # identity, bit-exact (PG must reduce to plain GD)
-
-    def _prox_array(self, u, gamma):
-        return u[:, None]    # the vertex formula (u/gamma)/(2 (0.5/gamma)) is not always u
+    def _prox_points(self, u, gamma):
+        # the identity, bit-exact (PG must reduce to plain GD); the vertex
+        # formula (u/gamma)/(2 (0.5/gamma)) is not always u
+        return np.array(u, dtype=float, ndmin=1)[:, None]
 
     def to_json(self):
         return {"family": "zero"}

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import ConfigError, IterateTrace, NumericAbort, ProblemSpec, SolverConfig
 from .diagnostics import residual
-from .penalties import _scalar_prox_candidates, select_closest
+from .penalties import compile_prox, select_closest
 
 
 def _objective_and_gradient(prob: ProblemSpec, x: np.ndarray):
@@ -61,16 +61,15 @@ def pg_solve(prob: ProblemSpec, cfg: SolverConfig, x0) -> IterateTrace:
 # ---------------------------------------------------------------------------
 # proximal point
 
-def _f_prox_exact_separable(prob, gamma, xk):
-    """Exact F-prox when f is diagonal quadratic and g separable."""
+def _f_prox_exact_separable(prob, gamma):
+    """Exact F-prox x^k -> x^{k+1} for diagonal quadratic f and separable g:
+    each coordinate's map, phi plus its part of f, compiled once."""
     Q, q = prob.loss.Q, prob.loss.q
-    out = np.empty(prob.n)
-    for i in range(prob.n):
-        pieces = [(lo, hi, a2 + 0.5 * Q[i, i], a1 + q[i], a0)
-                  for lo, hi, a2, a1, a0 in prob.penalty.pieces]
-        cands = _scalar_prox_candidates(pieces, float(xk[i]), gamma)
-        out[i] = select_closest(cands, float(xk[i]))
-    return out
+    maps = [compile_prox([(lo, hi, a2 + 0.5 * Q[i, i], a1 + q[i], a0)
+                          for lo, hi, a2, a1, a0 in prob.penalty.pieces], gamma)
+            for i in range(prob.n)]
+    return lambda xk: np.array([select_closest(m.points(xk[i:i + 1])[0], xk[i])
+                                for i, m in enumerate(maps)])
 
 
 def _f_prox_oracle(prob, gamma, xk, window):
@@ -133,13 +132,14 @@ def ppa_solve(prob: ProblemSpec, cfg: SolverConfig, x0, oracle_window=None) -> I
              and np.count_nonzero(prob.loss.Q) == np.count_nonzero(np.diag(prob.loss.Q)))
     if not exact and prob.n > 2:
         raise ConfigError("PPA needs n <= 2 or diagonal quadratic f with separable g")
+    f_prox = _f_prox_exact_separable(prob, cfg.gamma) if exact else None
     tr = IterateTrace(prob.n)
     F = prob.objective(x)
     _guard_finite(prob, x, F)
     tr.append(x, F, residual(prob, x, cfg.gamma))
     for _ in range(cfg.max_iter):
         if exact:
-            x_new = _f_prox_exact_separable(prob, cfg.gamma, x)
+            x_new = f_prox(x)
         else:
             window = oracle_window or 20.0 * (1.0 + float(np.max(np.abs(x))))
             x_new = np.asarray(_f_prox_oracle(prob, cfg.gamma, x, window), dtype=float)

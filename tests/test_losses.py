@@ -217,3 +217,18 @@ def test_quadratic_value_many_is_value():
     assert vals.shape == (100,)
     for v, x in zip(vals, X):
         assert v == pytest.approx(loss.value(x), rel=1e-14)
+
+
+def test_margin_value_and_gradient_is_value_and_gradient():
+    # the margin families share one product M x between the two
+    assert "value_and_gradient" in MarginLoss.__dict__
+    rng = np.random.default_rng(13)
+    for n, m in ((1, 1), (3, 5), (40, 120)):
+        C = rng.normal(size=(m, n))
+        d = rng.choice([-1.0, 1.0], size=m)
+        for loss in (LogisticLoss(C, d), ExponentialLoss(0.3 * C, d)):
+            for _ in range(10):
+                x = rng.normal(size=n)
+                f, g = loss.value_and_gradient(x)
+                assert isinstance(f, float) and f == loss.value(x)
+                assert g.tobytes() == loss.gradient(x).tobytes()

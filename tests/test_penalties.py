@@ -244,11 +244,9 @@ def test_scalar_subdifferentials_are_the_one_point_case(g):
                    else 0.5)
     pts += [g.pieces[0][0] - 1.0, g.pieces[-1][1] + 1.0]
     for t in pts:
-        # phi' = 0 * t + a1 is nan at t = +-inf on a flat piece, on both routes
-        with np.errstate(invalid="ignore"):
-            (plo,), (phi,) = g.subdiff_bounds_array(np.array([t]))
-            (llo,), (lhi,) = g.subdiff_bounds_array(np.array([t]), limiting=True)
-            prox_sd, lim_sd = g.prox_subdiff(t), g.limiting_subdiff(t)
+        (plo,), (phi,) = g.subdiff_bounds_array(np.array([t]))
+        (llo,), (lhi,) = g.subdiff_bounds_array(np.array([t]), limiting=True)
+        prox_sd, lim_sd = g.prox_subdiff(t), g.limiting_subdiff(t)
         want = IntervalSet.empty() if plo > phi else IntervalSet(((plo, phi),))
         assert _bits(prox_sd) == _bits(want), (g.family, t)
         dl, dr = g._joins.get(t, (0.0, 0.0))
@@ -257,6 +255,20 @@ def test_scalar_subdifferentials_are_the_one_point_case(g):
         else:
             want = IntervalSet.empty() if llo > lhi else IntervalSet(((llo, lhi),))
         assert _bits(lim_sd) == _bits(want), (g.family, t)
+
+
+@pytest.mark.parametrize("g", SEPARABLE + [_SquareMinusAbs()], ids=lambda g: g.family)
+def test_subdifferential_at_infinity_is_never_nan(g):
+    # phi' = 2 a2 t + a1 was 0 * inf = nan at t = +-inf on a flat piece
+    for limiting in (False, True):
+        lo, hi = g.subdiff_bounds_array(np.array([math.inf, -math.inf]), limiting)
+        assert not np.isnan(lo).any() and not np.isnan(hi).any()
+        # -inf holds no piece; +inf closes an unbounded last piece
+        assert lo[1] > hi[1]
+    lo_, hi_, a2, a1, _a0 = g.pieces[-1]
+    if hi_ == math.inf and a2 == 0.0:
+        assert g.prox_subdiff(math.inf).equals(IntervalSet.point(a1))
+        assert g.limiting_subdiff(math.inf).equals(IntervalSet.point(a1))
 
 
 # ---------------------------------------------------------------------------
