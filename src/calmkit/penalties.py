@@ -266,10 +266,7 @@ class Penalty:
         x_next is the minimizer closest to x, coordinate by coordinate (ties
         toward the smaller value); the distance is to the whole set.
         """
-        x = np.asarray(x, dtype=float)
-        sets = self.prox_coordinate_sets(np.asarray(u, dtype=float), gamma)
-        x_next = np.array([select_closest(s, xi) for s, xi in zip(sets, x)])
-        return x_next, coordinate_sets_distance(x, sets)
+        raise NotImplementedError
 
     def prox_distance(self, x, u, gamma) -> float:
         """dist(x, Prox(u)) using the exact per-coordinate argmin sets."""
@@ -280,12 +277,6 @@ class Penalty:
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-def coordinate_sets_distance(x, sets) -> float:
-    """Euclidean distance from x to the product of finite coordinate sets."""
-    return math.sqrt(_sum([min(d * d for d in (xi - c for c in s))
-                           for xi, s in zip(x, sets)]))
 
 
 def _slope(piece, t):

@@ -3,13 +3,18 @@
 _scalar_prox_candidates is verbatim the per-coordinate enumeration calmkit
 used before penalties.compile_prox: every piece's clamped vertex and every
 finite piece end, the values within TIE_REL_TOL of the best, deduplicated
-at 1e-11 relative.  tests/test_prox_kernel.py checks the compiled map
-against it.
+at 1e-11 relative.  prox_step is verbatim the generic per-set step that
+Penalty.prox_step was: select_closest on each coordinate's set, and
+coordinate_sets_distance to the whole product.  tests/test_prox_kernel.py
+checks the compiled map against them, and tests/test_penalties.py the group
+lasso's prox_step.
 """
 
 import math
 
-from calmkit.penalties import TIE_REL_TOL
+import numpy as np
+
+from calmkit.penalties import TIE_REL_TOL, _sum, select_closest
 
 
 def _scalar_prox_candidates(pieces, u, gamma):
@@ -48,3 +53,21 @@ def _scalar_prox_candidates(pieces, u, gamma):
         if not out or t - out[-1] > 1e-11 * (1.0 + abs(t)):
             out.append(t)
     return tuple(out)
+
+
+def coordinate_sets_distance(x, sets) -> float:
+    """Euclidean distance from x to the product of finite coordinate sets."""
+    return math.sqrt(_sum([min(d * d for d in (xi - c for c in s))
+                           for xi, s in zip(x, sets)]))
+
+
+def prox_step(g, x, u, gamma):
+    """(x_next, dist(x, Prox(u))) from one evaluation of g's prox sets.
+
+    x_next is the minimizer closest to x, coordinate by coordinate (ties
+    toward the smaller value); the distance is to the whole set.
+    """
+    x = np.asarray(x, dtype=float)
+    sets = g.prox_coordinate_sets(np.asarray(u, dtype=float), gamma)
+    x_next = np.array([select_closest(s, xi) for s, xi in zip(sets, x)])
+    return x_next, coordinate_sets_distance(x, sets)

@@ -20,9 +20,9 @@ from calmkit.diagnostics import residual
 from calmkit.losses import QuadraticLoss
 from calmkit.penalties import (BoxIndicator, GroupLasso, L1Penalty, McpPenalty,
                                NegAbsPenalty, ScadPenalty, ZeroPenalty,
-                               coordinate_sets_distance, select_closest)
+                               select_closest)
 from calmkit.solvers import pg_solve, ppa_solve
-from prox_reference import _scalar_prox_candidates
+from prox_reference import _scalar_prox_candidates, coordinate_sets_distance
 
 SCALAR, ARRAY = 10 ** 9, 1   # ARRAY_MIN_N forcing one value path or the other
 
@@ -115,12 +115,19 @@ def _assert_matches_reference(g, x, u, gamma):
     return sets, differ
 
 
-def _values_agree(g, x, monkeypatch):
-    """value() gives the same bits on its scalar and array paths."""
+def _slices_agree(g, x, u, gamma, sets, monkeypatch):
+    """prox_step on two coordinates at a time gives the residual to those
+    coordinates' sets, and value() the same bits on its scalar and array
+    paths, on the whole vector and on each slice."""
+    # two coordinates at a time, a last-bit difference rarely rounds away
+    for i in range(0, min(x.size, 2000), 2):
+        assert g.prox_step(x[i:i + 2], u[i:i + 2], gamma)[1] == \
+            coordinate_sets_distance(x[i:i + 2], sets[i:i + 2])
     out = []
     for cutoff in (SCALAR, ARRAY):
         monkeypatch.setattr(penalties, "ARRAY_MIN_N", cutoff)
-        out.append(_bits([g.value(x)] + [g.value(x[i:i + 2]) for i in range(0, 2000, 2)]))
+        out.append(_bits([g.value(x)] + [g.value(x[i:i + 2])
+                                       for i in range(0, min(x.size, 2000), 2)]))
     assert out[0] == out[1]
 
 
@@ -133,19 +140,16 @@ def test_random_u_both_paths_agree(g, gamma, monkeypatch):
     x[::5] = np.round(x[::5])     # iterates that sit on knots
     sets, differ = _assert_matches_reference(g, x, u, gamma)
     assert differ <= 2
-    # two coordinates at a time, a last-bit difference rarely rounds away
-    for i in range(0, 2000, 2):
-        assert g.prox_step(x[i:i + 2], u[i:i + 2], gamma)[1] == \
-            coordinate_sets_distance(x[i:i + 2], sets[i:i + 2])
-    _values_agree(g, x, monkeypatch)
+    _slices_agree(g, x, u, gamma, sets, monkeypatch)
 
 
 @pytest.mark.parametrize("g", FAMILIES, ids=IDS)
 @pytest.mark.parametrize("gamma", GAMMAS)
-def test_constructed_ties_both_paths_agree(g, gamma):
+def test_constructed_ties_both_paths_agree(g, gamma, monkeypatch):
     u = _tie_points(g, gamma)
     for x in (u, np.zeros_like(u), u + 0.5, u - 0.5):
         sets, _differ = _assert_matches_reference(g, x, u, gamma)
+        _slices_agree(g, x, u, gamma, sets, monkeypatch)
     if g.family == "negabs":
         assert len(sets[0]) == 2 and len(sets[1]) == 2   # u = +-0: {-lam gamma, lam gamma}
     if g.family == "negabs" or (g.family in ("scad", "mcp") and gamma > g.a - 1.0):
