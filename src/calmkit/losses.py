@@ -327,7 +327,9 @@ class SigmoidNNLoss(SmoothLoss):
 
     @staticmethod
     def _sigma(z):
-        return 1.0 / (1.0 + np.exp(-z))
+        # exp(-z) overflows to inf for z < -709, which gives the exact limit 0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
 
     def value(self, x):
         x = self._check(x)

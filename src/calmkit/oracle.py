@@ -8,6 +8,13 @@ equation, or a breakpoint, where the coordinate is fixed), solves every
 combination of options in each kept cell once, and counts a root only if it
 lies in the closed cell and passes the exact residual (subdiff_distances).
 
+Each combination is solved by Gauss-Newton from the cell centre, with the
+target's own Jacobian: minus the loss's Hessian (central differences of the
+target for a loss without one) less the pieces' curvature.  Steps are
+minimum-norm, so an affine system is solved in one step and a continuum of
+roots (a singular Jacobian) yields the projection of the centre onto it.
+The Jacobian only steers the solve; the residual alone accepts a root.
+
 Every derived expected value in the test suite traces back to these
 routines.  They read a penalty only through its piece table, its values and
 its subdifferentials, and share no prox, solver or cone code with what they
@@ -20,16 +27,17 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core import ConfigError, StationarySetApprox
-from .losses import Box
+from .losses import EPS, Box
 from .penalties import TIE_REL_TOL
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_MAX_ITER = 200
 SCAN_CHUNK = 2_000_000   # grid points per vectorized evaluation of the scalar scan
 ACCEPT_TOL = 1e-7   # exact residual at which a cell root counts as a solution
+NEWTON_MAX_ITER = 60
+FD_STEP = 1e-6      # central-difference step of the target's Jacobian without a Hessian
 
 
 class OracleError(RuntimeError):
@@ -205,9 +213,32 @@ def _strictly_inside(t, lo, hi):
             and (math.isinf(hi) or hi - t > 1e-12 * (1.0 + abs(hi))))
 
 
-def _solve_in_cell(penalty, target, lo, hi, limiting):
-    """Every solution in the closed cell [lo, hi]: one root solve per
-    combination of the coordinates' options, started at the cell centre."""
+def _newton(equations, jacobian, z):
+    """Gauss-Newton on equations(z) = 0 from z with minimum-norm steps.
+
+    Stops at a non-finite residual, at a step below 4 eps (1 + |z|) on
+    every coordinate, or after NEWTON_MAX_ITER steps; the caller judges
+    the point it returns."""
+    for _ in range(NEWTON_MAX_ITER):
+        r = equations(z)
+        if not np.all(np.isfinite(r)):
+            break
+        step = np.linalg.lstsq(jacobian(z), -r, rcond=None)[0]
+        z = z + step
+        if np.all(np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(z))):
+            break
+    return z
+
+
+def _solve_in_cell(penalty, target, target_jac, lo, hi, limiting):
+    """Every solution in the closed cell [lo, hi]: one Newton solve per
+    combination of the coordinates' options, started at the cell centre.
+
+    On the free coordinates the equations are target_i(x) = 2 a2 x_i + a1,
+    with Jacobian target_jac restricted to them minus diag(2 a2).  A
+    singular Jacobian (a continuum of roots) takes minimum-norm steps, so
+    the solve returns the centre's projection onto the continuum.
+    """
     found = []
     options = [_cell_options(penalty, a, b) for a, b in zip(lo, hi)]
     for combo in itertools.product(*options):
@@ -216,13 +247,20 @@ def _solve_in_cell(penalty, target, lo, hi, limiting):
                       for a, b, o in zip(lo, hi, combo)])
         if free:
             a2, a1 = (np.array([combo[i][k] for i in free]) for k in (2, 3))
+            sub, curvature = np.ix_(free, free), np.diag(2.0 * a2)
 
-            def equations(z):
+            def at(z):
                 y = x.copy()
                 y[free] = z
-                return target(y[None, :])[0][free] - (2.0 * a2 * z + a1)
+                return y
 
-            x[free] = least_squares(equations, x[free], method="lm").x
+            def equations(z):
+                return target(at(z)[None, :])[0][free] - (2.0 * a2 * z + a1)
+
+            def jacobian(z):
+                return target_jac(at(z))[sub] - curvature
+
+            x[free] = _newton(equations, jacobian, x[free])
         if not (np.all(lo <= x) and np.all(x <= hi)):
             continue
         if not all(_strictly_inside(x[i], *combo[i][:2]) for i in free):
@@ -233,16 +271,18 @@ def _solve_in_cell(penalty, target, lo, hi, limiting):
     return found
 
 
-def _membership_scan(penalty, target, box_lo, box_hi, cells, limiting, lip_bound):
+def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limiting,
+                     lip_bound):
     """All x in the box with target_i(x) in subdiff(g_i)(x_i) per coordinate.
 
     target maps an (N, n) array of points to an (N, n) array of required
-    subgradient values.  A cell is a candidate when, on every axis, the
-    target at its centre lies within a Lipschitz margin of the hull of its
-    options (_option_hulls); in each candidate cell every combination of
-    per-coordinate pieces and breakpoints is solved exactly, and a root is
-    kept when it lies in the closed cell and passes the exact residual.
-    Roots within two cell radii of a better one are dropped.
+    subgradient values, and target_jac one point to the target's (n, n)
+    Jacobian.  A cell is a candidate when, on every axis, the target at its
+    centre lies within a Lipschitz margin of the hull of its options
+    (_option_hulls); in each candidate cell every combination of
+    per-coordinate pieces and breakpoints is solved (_solve_in_cell), and a
+    root is kept when it lies in the closed cell and passes the exact
+    residual.  Roots within two cell radii of a better one are dropped.
     """
     n = len(box_lo)
     # one edge array per axis, so neighbouring cells share their edge floats
@@ -252,20 +292,19 @@ def _membership_scan(penalty, target, box_lo, box_hi, cells, limiting, lip_bound
     margin = lip_bound * cell_radius * 1.05 + 1e-12
     hulls = [_option_hulls(penalty, e[:-1], e[1:], limiting) for e in edges]
 
-    X = _cartesian([0.5 * (e[:-1] + e[1:]) for e in edges])
-    T = target(X)
     shape = (cells,) * n
-    keep = np.ones(X.shape[0], dtype=bool)
+    T = target(_cartesian([0.5 * (e[:-1] + e[1:]) for e in edges])).reshape(shape + (n,))
+    keep = np.ones(shape, dtype=bool)
     for i, (lo_h, hi_h) in enumerate(hulls):
-        idx = np.unravel_index(np.arange(X.shape[0]), shape)[i]
-        keep &= (T[:, i] + margin >= lo_h[idx]) & (T[:, i] - margin <= hi_h[idx])
+        along = tuple(cells if j == i else 1 for j in range(n))   # broadcast on axis i
+        keep &= (T[..., i] + margin >= lo_h.reshape(along)) \
+            & (T[..., i] - margin <= hi_h.reshape(along))
 
     results, discarded = [], 0
-    for k in np.flatnonzero(keep):
-        cell = np.unravel_index(k, shape)
+    for cell in zip(*np.nonzero(keep)):
         lo = np.array([e[j] for e, j in zip(edges, cell)])
         hi = np.array([e[j + 1] for e, j in zip(edges, cell)])
-        found = _solve_in_cell(penalty, target, lo, hi, limiting)
+        found = _solve_in_cell(penalty, target, target_jac, lo, hi, limiting)
         results += found
         discarded += not found
 
@@ -286,6 +325,32 @@ def _membership_scan(penalty, target, box_lo, box_hi, cells, limiting, lip_bound
     return points, warnings
 
 
+def _targets(loss, map_kind, p, gamma=None):
+    """(target, target_jac) of S_cano(p) or S_PG(p): the batched map of
+    points to required subgradients, and its Jacobian at one point, from
+    the loss's Hessian or, without one, central differences of the target."""
+    if map_kind == "S_cano":
+        target = lambda X: p[None, :] - loss.gradient_many(X)
+        hessian = loss.hessian
+    elif map_kind == "S_PG":
+        if gamma is None or not gamma > 0:
+            raise ConfigError("S_PG needs gamma > 0")
+        target = lambda X: (p / gamma)[None, :] - loss.gradient_many(X + p[None, :])
+        hessian = lambda y: loss.hessian(y + p)
+    else:
+        raise ConfigError("unknown map kind %r" % map_kind)
+    if loss.twice_differentiable:
+        return target, lambda y: -hessian(y)
+    n = len(p)
+    steps = FD_STEP * np.eye(n)
+
+    def target_jac(y):
+        T = target(np.concatenate([y + steps, y - steps]))
+        return (T[:n] - T[n:]).T / (2.0 * FD_STEP)
+
+    return target, target_jac
+
+
 def _scan(prob, map_kind, p, box, cells, limiting=False, gamma=None):
     """(points, warnings) of S_cano(p) or S_PG(p) on a box; the margin's L
     bounds the loss on the box widened by |p| (a global bound ignores it)."""
@@ -295,16 +360,10 @@ def _scan(prob, map_kind, p, box, cells, limiting=False, gamma=None):
     if not (cells >= 1 and np.all(box_lo < box_hi)):
         raise ConfigError("the oracle needs cells >= 1 and lo < hi on every axis")
     p = np.asarray(p, dtype=float)
-    if map_kind == "S_cano":
-        target = lambda X: p[None, :] - prob.loss.gradient_many(X)
-    elif map_kind == "S_PG":
-        if gamma is None or not gamma > 0:
-            raise ConfigError("S_PG needs gamma > 0")
-        target = lambda X: (p / gamma)[None, :] - prob.loss.gradient_many(X + p[None, :])
-    else:
-        raise ConfigError("unknown map kind %r" % map_kind)
+    target, target_jac = _targets(prob.loss, map_kind, p, gamma)
     lip = prob.loss.lipschitz_bound(Box(box_lo - np.abs(p), box_hi + np.abs(p))).value
-    return _membership_scan(prob.penalty, target, box_lo, box_hi, cells, limiting, lip)
+    return _membership_scan(prob.penalty, target, target_jac, box_lo, box_hi, cells,
+                            limiting, lip)
 
 
 def brute_force_stationary_set(prob, box, cells=400, limiting=False):

@@ -232,3 +232,11 @@ def test_margin_value_and_gradient_is_value_and_gradient():
                 f, g = loss.value_and_gradient(x)
                 assert isinstance(f, float) and f == loss.value(x)
                 assert g.tobytes() == loss.gradient(x).tobytes()
+
+
+def test_network_sigma_saturates_without_overflow_warning():
+    # exp(800) overflows to inf; 1 / (1 + inf) is the exact limit 0
+    z = np.array([-800.0, -709.0, 0.0, 800.0])
+    s = SigmoidNNLoss._sigma(z)
+    assert s[0] == 0.0 and s[2] == 0.5 and s[3] == 1.0
+    assert 0.0 < s[1] < 1e-300

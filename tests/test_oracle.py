@@ -5,9 +5,10 @@ import pytest
 
 from calmkit import instances
 from calmkit.core import ProblemSpec
-from calmkit.losses import QuadraticLoss
-from calmkit.oracle import (OracleError, brute_force_prox, brute_force_scalar_min,
-                            brute_force_set_valued_solve,
+from calmkit.losses import (ExponentialLoss, LogisticLoss, QuadraticLoss, SigmoidNNLoss,
+                            StructuredCompositeLoss)
+from calmkit.oracle import (OracleError, _targets, brute_force_prox,
+                            brute_force_scalar_min, brute_force_set_valued_solve,
                             brute_force_stationary_set)
 from calmkit.penalties import (BoxIndicator, L1Penalty, McpPenalty, NegAbsPenalty,
                                ScadPenalty, SeparablePenalty, ZeroPenalty)
@@ -272,3 +273,54 @@ def test_point_next_to_a_concave_kink_between_curved_pieces_is_found():
                        _SquareMinusAbs())
     S = brute_force_stationary_set(prob, (np.array([-1.0]), np.array([1.0])), cells=20)
     assert _nearest(S.points, np.array([-delta])) <= 1e-9
+
+
+JACOBIAN_LOSSES = {
+    "quadratic": QuadraticLoss([[2.0, 0.5], [0.5, 1.0]], [0.3, -0.2]),
+    "structured-composite": StructuredCompositeLoss([[1.0, -0.5], [0.3, 2.0], [0.7, 0.1]],
+                                                    [0.1, 0.4], np.diag([1.0, 2.0, 0.5]),
+                                                    [0.2, -0.1, 0.3]),
+    "logistic": LogisticLoss([[1.0, -0.5], [0.3, 2.0], [-0.7, 0.1]], [1.0, -1.0, 1.0]),
+    "exponential": ExponentialLoss([[1.0, -0.5], [0.3, 2.0], [-0.7, 0.1]],
+                                   [1.0, -1.0, 1.0]),
+    "sigmoid-nn": SigmoidNNLoss(1, [[1.0], [-0.5]], [0.8, 0.3]),
+}
+
+
+@pytest.mark.parametrize("map_kind", ["S_cano", "S_PG"])
+@pytest.mark.parametrize("name", sorted(JACOBIAN_LOSSES))
+def test_target_jacobian_matches_target_differences(name, map_kind):
+    # a missing shift by p or a sign slip in the Jacobian would steer the
+    # cell solves away from their roots and lose them without an error
+    loss = JACOBIAN_LOSSES[name]
+    rng = np.random.default_rng(7)
+    p = rng.uniform(-0.5, 0.5, size=2)
+    target, target_jac = _targets(loss, map_kind, p, gamma=0.4)
+    h = 1e-5
+    for y in rng.uniform(-1.5, 1.5, size=(4, 2)):
+        J = target_jac(y)
+        fd = np.stack([(target((y + h * e)[None])[0] - target((y - h * e)[None])[0]) / (2 * h)
+                       for e in np.eye(2)], axis=1)
+        assert np.max(np.abs(J - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
+
+
+def test_affine_interior_point_is_one_newton_step_exact():
+    # on 0 < |x_i| the l1 inclusion is Q x + q + lam s = 0, solved exactly
+    Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    lam, s = 0.3, np.array([1.0, -1.0])
+    q = -Q @ np.array([0.7, -0.4]) - lam * s
+    x_star = np.linalg.solve(Q, -(q + lam * s))
+    prob = ProblemSpec(2, QuadraticLoss(Q, q), L1Penalty(lam))
+    S = brute_force_stationary_set(prob, (np.full(2, -2.0), np.full(2, 2.0)), cells=60)
+    assert _nearest(S.points, x_star) <= 1e-14
+
+
+def test_loss_without_hessian_is_solved_from_target_differences():
+    # the network loss has no Hessian: its Jacobian is central differences
+    loss = SigmoidNNLoss(1, [[1.0], [-0.5]], [0.8, 0.3])
+    g = L1Penalty(0.1)
+    prob = ProblemSpec(2, loss, g)
+    S = brute_force_stationary_set(prob, (np.full(2, -3.0), np.full(2, 3.0)), cells=20)
+    assert _nearest(S.points, np.zeros(2)) == 0.0
+    for x in S.points:
+        assert np.max(g.subdiff_distances(x, -loss.gradient(x))) <= 1e-7
