@@ -1,5 +1,6 @@
 """Point-based calmness certificates via exact cone calculus, plus empirical
-calmness-modulus estimation for the canonically and PG-perturbed maps.
+calmness-modulus estimation for the canonically and PG-perturbed maps (the
+oracle's solutions on a grid of perturbations, fed to diagnostics.sampled_modulus).
 
 The multiplier systems of the separable criteria constrain, per coordinate,
 the planar vector ((H eta)_i, eta_i) (or (w_i, -(H w)_i) for critical
@@ -31,7 +32,7 @@ from scipy.linalg import null_space  # noqa: F401  (perfbench/tracing.py wraps c
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracing.py wraps calmness.linprog)
 
 from .core import ProblemSpec
-from .diagnostics import _significant
+from .diagnostics import ModulusEstimate, is_proximal_stationary, sampled_modulus
 from .graphs_cones import (Atom, directional_limiting_normal_atoms,
                            limiting_normal_atoms, tangent_atoms)
 from .oracle import brute_force_set_valued_solve, brute_force_stationary_set
@@ -58,34 +59,6 @@ class CertificateReport:
                 "witnesses": [[np.asarray(w).tolist() for w in group]
                               for group in self.witnesses],
                 "pieces_examined": self.pieces_examined, "notes": self.notes}
-
-
-@dataclass
-class ModulusEstimate:
-    kappa_hat: float
-    samples: int
-    max_ratio_point: np.ndarray | None
-    max_ratio_perturbation: np.ndarray | None
-    note: str = ""
-
-    def to_json(self):
-        """kappa_hat to the 5 significant digits that the oracle's rounding leaves."""
-        return {"kappa_hat": _significant(self.kappa_hat), "samples": self.samples,
-                "max_ratio_point": None if self.max_ratio_point is None
-                else np.asarray(self.max_ratio_point).tolist(),
-                "max_ratio_perturbation": None if self.max_ratio_perturbation is None
-                else np.asarray(self.max_ratio_perturbation).tolist(),
-                "note": self.note}
-
-
-# ---------------------------------------------------------------------------
-# stationarity test
-
-def is_proximal_stationary(prob: ProblemSpec, x, tol: float) -> bool:
-    """0 in grad f(x) + prox-subdiff g(x), coordinate/block-wise within tol."""
-    x = np.asarray(x, dtype=float)
-    gr = prob.loss.gradient(x)
-    return bool(np.max(prob.penalty.subdiff_distances(x, -gr)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +343,12 @@ def estimate_calmness_modulus(prob: ProblemSpec, x_bar, map_kind: str,
         S = brute_force_stationary_set(prob, box, cells=cells)
     if S.is_empty:
         raise CertificateError("oracle found no stationary point near x_bar")
-    from .core import distance_to_set
-    axes = [np.linspace(-radius, radius, grid)] * n
-    best = None
-    samples = 0
-    for p in itertools.product(*axes):
-        p = np.array(p)
-        if np.linalg.norm(p) < 1e-14:
-            continue
-        sols = brute_force_set_valued_solve(prob, map_kind, p, box, gamma=gamma,
-                                            cells=cells)
-        for x in sols:
-            if np.linalg.norm(x - x_bar) > loc_radius:
-                continue
-            samples += 1
-            ratio = distance_to_set(x, S) / float(np.linalg.norm(p))
-            if best is None or ratio > best[0]:
-                best = (ratio, x, p)
-    if best is None:
+    grid_p = map(np.array, itertools.product(*[np.linspace(-radius, radius, grid)] * n))
+    solutions = ((x, p) for p in grid_p if np.linalg.norm(p) >= 1e-14
+                 for x in brute_force_set_valued_solve(prob, map_kind, p, box, gamma=gamma,
+                                                       cells=cells)
+                 if np.linalg.norm(x - x_bar) <= loc_radius)
+    est = sampled_modulus(solutions, S)
+    if est is None:
         raise CertificateError("oracle found no perturbed solutions in the window")
-    return ModulusEstimate(kappa_hat=best[0], samples=samples,
-                           max_ratio_point=best[1], max_ratio_perturbation=best[2])
+    return est

@@ -19,11 +19,12 @@ from .constrained_solvers import (LinearlyConstrainedProblem, SaddleProblem,
                                   gpadmm_solve, pdhg_solve, term_from_json)
 from .core import (ConfigError, IterateTrace, NumericAbort, SolverConfig,
                    load_problem, problem_from_json)
-from .graphs_cones import (GraphPointError, directional_limiting_normal_cone,
-                           limiting_normal_cone, tangent_cone)
+from .graphs_cones import (GraphPointError, classify_point,
+                           directional_limiting_normal_cone, limiting_normal_cone,
+                           regular_normal_cone, tangent_cone)
 from .losses import Box, LossError
 from .oracle import OracleError, brute_force_prox, brute_force_stationary_set
-from .penalties import PenaltyError, penalty_from_json
+from .penalties import PenaltyError, ScadPenalty, penalty_from_json
 from .solvers import pg_solve, ppa_solve
 
 CONFIG_ERRORS = (ConfigError, PenaltyError, LossError, GraphPointError)
@@ -222,7 +223,6 @@ def cmd_reproduce(args) -> int:
                 "nnamcq": rep_n.to_json(), "foscms": rep_f.to_json(),
                 "stated_conclusion": case.expected, "matches": bool(matches)})
         lam, a = 1.0, 3.0
-        from .penalties import ScadPenalty
         G = ScadPenalty(lam, a).graph()
         zmid = 0.5 * (lam + a * lam)
         slant = (1.0, 1.0 / (1.0 - a))
@@ -283,7 +283,6 @@ def cmd_explain(args) -> int:
         g = penalty_from_json(json.loads(args.penalty))
     G = g.graph()
     p = tuple(_parse_vector(args.point, 2))
-    from .graphs_cones import classify_point, regular_normal_cone
     cl = classify_point(G, p)
     out = {"classification": cl.to_json(),
            "tangent": tangent_cone(G, p).to_json(),

@@ -17,7 +17,6 @@ from .core import ConfigError, NumericAbort, SolverConfig
 from .losses import operator_norm
 from .penalties import Penalty, _sum, penalty_from_json
 
-CONVEX_FAMILIES = ("l1", "group-lasso", "box-indicator", "zero")
 CHECK_TOL = 1e-8   # KKT inclusion residual that counts as a check passed
 
 
@@ -40,9 +39,9 @@ class ConvexTerm:
             self.kind = "quadratic"
             self.penalty = None
         else:
-            if penalty.family not in CONVEX_FAMILIES:
-                raise ConfigError("penalty term must be convex (l1, group-lasso, "
-                                  "box-indicator or zero)")
+            if not penalty.convex:
+                raise ConfigError("penalty term must be convex, and %r is not"
+                                  % penalty.family)
             self.penalty = penalty
             self.kind = penalty.family
             self.Q = None

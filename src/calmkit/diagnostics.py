@@ -1,5 +1,10 @@
 """Verification of the descent/cost-to-go/rate inequalities along traces,
-error-bound and KL-exponent estimation, and stationarity classification."""
+the sampled calmness modulus, KL-exponent estimation, and stationarity.
+
+A PG step x^{k+1} solves S_PG(p) at p = x^k - x^{k+1}, so the error-bound
+constant along a trace and calmness.estimate_calmness_modulus's oracle
+estimate are one modulus sampled at two sources of (x, p): sampled_modulus.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +16,9 @@ import numpy as np
 from .core import IterateTrace, ProblemSpec, StationarySetApprox, distance_to_set
 
 EPS = float(np.finfo(float).eps)
+# a sampled ratio this close (relative) to the largest names the same worst
+# sample: on an exactly linear trace the ratios agree but for rounding
+RATIO_REL_TOL = 1e-9
 
 
 def kappa1(gamma: float, L: float) -> float:
@@ -80,37 +88,57 @@ def residual(prob: ProblemSpec, x, gamma: float) -> float:
     return prob.penalty.prox_distance(x, u, gamma)
 
 
+@dataclass
+class ModulusEstimate:
+    kappa_hat: float
+    samples: int
+    max_ratio_point: np.ndarray | None
+    max_ratio_perturbation: np.ndarray | None
+    note: str = ""
+
+    def to_json(self):
+        """kappa_hat to the 5 significant digits that the oracle's rounding leaves."""
+        return {"kappa_hat": _significant(self.kappa_hat), "samples": self.samples,
+                "max_ratio_point": None if self.max_ratio_point is None
+                else np.asarray(self.max_ratio_point).tolist(),
+                "max_ratio_perturbation": None if self.max_ratio_perturbation is None
+                else np.asarray(self.max_ratio_perturbation).tolist(),
+                "note": self.note}
+
+
+def sampled_modulus(samples, S: StationarySetApprox) -> ModulusEstimate | None:
+    """The largest dist(x, S) / ||p|| over samples (x, p), x a solution of the map
+    perturbed by p, naming the first sample within RATIO_REL_TOL of it; None
+    without samples."""
+    taken = [(distance_to_set(x, S) / float(np.linalg.norm(p)), x, p) for x, p in samples]
+    if not taken:
+        return None
+    top = max(ratio for ratio, _, _ in taken)
+    _, x, p = next(t for t in taken if t[0] >= top - RATIO_REL_TOL * top)
+    return ModulusEstimate(kappa_hat=top, samples=len(taken),
+                           max_ratio_point=x, max_ratio_perturbation=p)
+
+
 def estimate_error_bound_constant(trace: IterateTrace, S: StationarySetApprox,
-                                  window: float):
-    """Empirical kappa in dist(x^{k+1}, S) <= kappa ||x^{k+1} - x^k||.
+                                  window: float) -> ModulusEstimate:
+    """Empirical kappa in dist(x^{k+1}, S) <= kappa ||x^{k+1} - x^k||, S_PG's
+    modulus at the trace's own perturbations.
 
     Only steps with x^{k+1} within `window` of the trace limit count;
-    steps with ||p|| below 100 machine epsilons are excluded.
+    steps with ||p|| below 100 machine epsilons, or within 3 S.radius of S
+    (its certified localization resolution), are excluded.
     """
-    from .calmness import ModulusEstimate
     x_ref = trace.final
-    best = None
-    samples = 0
-    for k in range(1, len(trace)):
-        x = trace.points[k]
-        pn = float(np.linalg.norm(trace.perturbations[k]))
-        if pn < 1e2 * EPS:
-            continue
-        if float(np.linalg.norm(x - x_ref)) > window:
-            continue
-        d = distance_to_set(x, S)
-        if d <= 3.0 * S.radius:
-            continue  # below the set's certified localization resolution
-        ratio = d / pn
-        samples += 1
-        if best is None or ratio > best[0]:
-            best = (ratio, x, trace.perturbations[k])
-    if best is None:
+    steps = ((x, p) for x, p in zip(trace.points[1:], trace.perturbations[1:])
+             if float(np.linalg.norm(p)) >= 1e2 * EPS
+             and float(np.linalg.norm(x - x_ref)) <= window
+             and distance_to_set(x, S) > 3.0 * S.radius)
+    est = sampled_modulus(steps, S)
+    if est is None:
         return ModulusEstimate(kappa_hat=math.nan, samples=0,
                                max_ratio_point=None, max_ratio_perturbation=None,
                                note="no informative steps")
-    return ModulusEstimate(kappa_hat=best[0], samples=samples,
-                           max_ratio_point=best[1], max_ratio_perturbation=best[2])
+    return est
 
 
 @dataclass
@@ -271,15 +299,19 @@ def check_proper_separation(S: StationarySetApprox, prob: ProblemSpec, x_bar,
     return True
 
 
+def is_proximal_stationary(prob: ProblemSpec, x, tol: float) -> bool:
+    """0 in grad f(x) + prox-subdiff g(x), coordinate/block-wise within tol."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.max(prob.penalty.subdiff_distances(x, -prob.loss.gradient(x))) <= tol)
+
+
 def classify_stationarity(prob: ProblemSpec, x, tol: float) -> str:
     """'proximal', 'limiting-only', or 'none' for the point x.
 
     Each coordinate (each group, for the group lasso) must be within tol.
     """
-    x = np.asarray(x, dtype=float)
-    gr = prob.loss.gradient(x)
-    if np.max(prob.penalty.subdiff_distances(x, -gr)) <= tol:
+    if is_proximal_stationary(prob, x, tol):
         return "proximal"
-    if np.max(prob.penalty.subdiff_distances(x, -gr, limiting=True)) <= tol:
-        return "limiting-only"
-    return "none"
+    x = np.asarray(x, dtype=float)
+    gap = np.max(prob.penalty.subdiff_distances(x, -prob.loss.gradient(x), limiting=True))
+    return "limiting-only" if gap <= tol else "none"

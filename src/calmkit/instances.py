@@ -12,7 +12,8 @@ import numpy as np
 from scipy.optimize import brentq, linprog, minimize
 
 from .core import ProblemSpec
-from .losses import Box, ExponentialLoss, LogisticLoss, StructuredCompositeLoss
+from .losses import (Box, ExponentialLoss, LogisticLoss, QuadraticLoss,
+                     StructuredCompositeLoss)
 from .penalties import GroupLasso, McpPenalty, NegAbsPenalty, ScadPenalty
 
 
@@ -164,7 +165,6 @@ def negabs_battery(count: int = 10, seed: int = 7):
     the limiting subdifferential {-lam, lam} but the proximal one is empty,
     so the limiting stationary set strictly contains the proximal one.
     """
-    from .losses import QuadraticLoss
     rng = np.random.default_rng(seed)
     out = []
     for j in range(count):

@@ -7,6 +7,9 @@ hull of the cell's options (a penalty piece, where the inclusion is an
 equation, or a breakpoint, where the coordinate is fixed), solves every
 combination of options in each kept cell once, and counts a root only if it
 lies in the closed cell and passes the exact residual (subdiff_distances).
+A root on an edge two cells share can come out of either cell's solve a few
+ulps outside it, so a root within 4 eps (1 + |edge|) of the cell is clipped
+onto the cell (the box keeps every point) and judged there.
 
 Each combination is solved by Gauss-Newton from the cell centre, with the
 target's own Jacobian: minus the loss's Hessian (central differences of the
@@ -240,6 +243,7 @@ def _solve_in_cell(penalty, target, target_jac, lo, hi, limiting):
     the solve returns the centre's projection onto the continuum.
     """
     found = []
+    edge_slack = [4.0 * EPS * (1.0 + np.abs(e)) for e in (lo, hi)]
     options = [_cell_options(penalty, a, b) for a, b in zip(lo, hi)]
     for combo in itertools.product(*options):
         free = [i for i, o in enumerate(combo) if isinstance(o, tuple)]
@@ -261,8 +265,9 @@ def _solve_in_cell(penalty, target, target_jac, lo, hi, limiting):
                 return target_jac(at(z))[sub] - curvature
 
             x[free] = _newton(equations, jacobian, x[free])
-        if not (np.all(lo <= x) and np.all(x <= hi)):
+        if not (np.all(lo - edge_slack[0] <= x) and np.all(x <= hi + edge_slack[1])):
             continue
+        x = np.clip(x, lo, hi)
         if not all(_strictly_inside(x[i], *combo[i][:2]) for i in free):
             continue   # a root at a piece end is its breakpoint option's to accept
         res = max(penalty.subdiff_distances(x, target(x[None, :])[0], limiting))

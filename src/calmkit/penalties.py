@@ -198,14 +198,14 @@ def compile_prox(pieces, gamma) -> ProxMap:
                    F[:5, np.concatenate([win[:1], right])])
 
 
-def select_closest(cands, ref):
-    """Closest candidate to ref; ties broken toward the smaller value."""
-    best = None
-    for c in sorted(cands):
-        d = abs(c - ref)
-        if best is None or d < best[0] - 1e-15:
-            best = (d, c)
-    return best[1]
+def select_nearest(P, x):
+    """(x_next, dist(x, P)) for padded prox points P (ProxMap.points): per sorted
+    row the point closest to x_i, the smaller unless the larger is closer by
+    over 1e-15 (+inf padding never wins), and the distance to all rows' product."""
+    D = np.asarray(x, dtype=float)[:, None] - P
+    x_next = P[:, 0] if P.shape[1] == 1 else \
+        np.where(np.abs(D[:, 1]) < np.abs(D[:, 0]) - 1e-15, P[:, 1], P[:, 0])
+    return x_next, math.sqrt(_sum((D * D).min(axis=1)))
 
 
 def _sum(terms) -> float:
@@ -227,6 +227,7 @@ class Penalty:
     family = "abstract"
     gamma_max = math.inf   # prox-boundedness threshold gamma_g
     separable = False
+    convex = False
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -313,6 +314,9 @@ class SeparablePenalty(Penalty):
             joins[b] = (dl, dr)
         if math.isfinite(self._hi):
             joins[self._hi] = (_slope(pieces[-1], self._hi), math.inf)
+        # convex pieces joined at convex kinks or smoothly
+        self.convex = all(pc[2] >= 0.0 for pc in pieces) and \
+            all(dl <= dr for dl, dr in joins.values())
         # _piece: value and subdifferentials locate theta by searchsorted(_his, theta)
         self._his = np.array([pc[1] for pc in pieces])
         self._coef = np.array([pc[2:] for pc in pieces]).T
@@ -368,12 +372,7 @@ class SeparablePenalty(Penalty):
         return [tuple(r[:c]) for r, c in zip(P.tolist(), np.isfinite(P).sum(axis=1).tolist())]
 
     def prox_step(self, x, u, gamma):
-        P = self._prox_points(u, gamma)
-        D = np.asarray(x, dtype=float)[:, None] - P
-        # select_closest over each row; the +inf padding never wins
-        x_next = P[:, 0] if P.shape[1] == 1 else \
-            np.where(np.abs(D[:, 1]) < np.abs(D[:, 0]) - 1e-15, P[:, 1], P[:, 0])
-        return x_next, math.sqrt(_sum((D * D).min(axis=1)))
+        return select_nearest(self._prox_points(u, gamma), x)
 
     def prox_subdiff(self, theta: float) -> IntervalSet:
         """Proximal subdifferential of phi at theta: empty at a concave kink."""
@@ -584,6 +583,7 @@ class GroupLasso(Penalty):
 
     family = "group-lasso"
     separable = False
+    convex = True
 
     def __init__(self, groups, weights):
         groups = [tuple(int(i) for i in g) for g in groups]

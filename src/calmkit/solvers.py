@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import ConfigError, IterateTrace, NumericAbort, ProblemSpec, SolverConfig
 from .diagnostics import residual
-from .penalties import compile_prox, select_closest
+from .penalties import compile_prox, select_nearest
 
 
 def _objective_and_gradient(prob: ProblemSpec, x: np.ndarray):
@@ -68,8 +68,8 @@ def _f_prox_exact_separable(prob, gamma):
     maps = [compile_prox([(lo, hi, a2 + 0.5 * Q[i, i], a1 + q[i], a0)
                           for lo, hi, a2, a1, a0 in prob.penalty.pieces], gamma)
             for i in range(prob.n)]
-    return lambda xk: np.array([select_closest(m.points(xk[i:i + 1])[0], xk[i])
-                                for i, m in enumerate(maps)])
+    return lambda xk: np.concatenate([select_nearest(m.points(xk[i:i + 1]), xk[i:i + 1])[0]
+                                      for i, m in enumerate(maps)])
 
 
 def _f_prox_oracle(prob, gamma, xk, window):

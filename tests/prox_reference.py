@@ -4,17 +4,28 @@ _scalar_prox_candidates is verbatim the per-coordinate enumeration calmkit
 used before penalties.compile_prox: every piece's clamped vertex and every
 finite piece end, the values within TIE_REL_TOL of the best, deduplicated
 at 1e-11 relative.  prox_step is verbatim the generic per-set step that
-Penalty.prox_step was: select_closest on each coordinate's set, and
+Penalty.prox_step was: select_closest (verbatim the per-coordinate loop
+that penalties.select_nearest replaced) on each coordinate's set, and
 coordinate_sets_distance to the whole product.  tests/test_prox_kernel.py
-checks the compiled map against them, and tests/test_penalties.py the group
-lasso's prox_step.
+checks the compiled map and the selection kernel against them, and
+tests/test_penalties.py the group lasso's prox_step.
 """
 
 import math
 
 import numpy as np
 
-from calmkit.penalties import TIE_REL_TOL, _sum, select_closest
+from calmkit.penalties import TIE_REL_TOL, _sum
+
+
+def select_closest(cands, ref):
+    """Closest candidate to ref; ties broken toward the smaller value."""
+    best = None
+    for c in sorted(cands):
+        d = abs(c - ref)
+        if best is None or d < best[0] - 1e-15:
+            best = (d, c)
+    return best[1]
 
 
 def _scalar_prox_candidates(pieces, u, gamma):

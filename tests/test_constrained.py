@@ -281,3 +281,11 @@ def test_term_json_round_trip():
     with pytest.raises(ConfigError, match="symmetric"):
         term_from_json({"family": "quadratic", "Q": [[1.0, 1.0], [-1.0, 1.0]],
                         "q": [0.0, 0.0]}, 2)
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "scad", "lambda": 1.0, "a": 3.0}, {"family": "mcp", "lambda": 1.0, "a": 2.0},
+    {"family": "negabs", "lambda": 1.0}], ids=["scad", "mcp", "negabs"])
+def test_nonconvex_penalty_term_is_rejected(spec):
+    with pytest.raises(ConfigError, match="convex"):
+        term_from_json(spec, 2)

@@ -320,3 +320,18 @@ def test_kappa_hat_and_predicted_sigma_print_five_digits():
     assert math.isnan(ModulusEstimate(math.nan, 0, None, None).to_json()["kappa_hat"])
     unpredicted = fit_linear_rate(tr, 0.0, np.array([0.0]), burn_in=5)
     assert unpredicted.to_json()["predicted_sigma"] is None
+
+
+def test_kappa_hat_names_the_first_ratio_within_its_tolerance():
+    # an exactly linear trace rounded: step 2's ratio d/||p|| beats step 1's
+    # by about 1e-15 relative, and the first of the two is the one named
+    S = StationarySetApprox(points=np.zeros((1, 1)), radius=1e-12, method="analytic")
+    tr = IterateTrace(1)
+    for x in (4.0, 2.0, 1.0 + 4 * np.finfo(float).eps):
+        tr.append(np.array([x]), 0.0, 0.0)
+    r1, r2 = (float(tr.points[k][0] / tr.perturbations[k][0]) for k in (1, 2))
+    assert 0.0 < r2 - r1 <= 2e-15 * r1
+    est = estimate_error_bound_constant(tr, S, window=np.inf)
+    assert est.kappa_hat == r2 and est.samples == 2
+    assert est.max_ratio_point is tr.points[1]
+    assert est.max_ratio_perturbation is tr.perturbations[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from calmkit import instances
-from calmkit.core import ProblemSpec
+from calmkit.core import ProblemSpec, SolverConfig
 from calmkit.losses import (ExponentialLoss, LogisticLoss, QuadraticLoss, SigmoidNNLoss,
                             StructuredCompositeLoss)
 from calmkit.oracle import (OracleError, _targets, brute_force_prox,
@@ -12,6 +12,7 @@ from calmkit.oracle import (OracleError, _targets, brute_force_prox,
                             brute_force_stationary_set)
 from calmkit.penalties import (BoxIndicator, L1Penalty, McpPenalty, NegAbsPenalty,
                                ScadPenalty, SeparablePenalty, ZeroPenalty)
+from calmkit.solvers import pg_solve
 
 
 def test_scalar_min_quadratic():
@@ -324,3 +325,51 @@ def test_loss_without_hessian_is_solved_from_target_differences():
     assert _nearest(S.points, np.zeros(2)) == 0.0
     for x in S.points:
         assert np.max(g.subdiff_distances(x, -loss.gradient(x))) <= 1e-7
+
+
+def test_root_on_a_shared_cell_edge_is_kept():
+    # x1 is one PG step from x0.  At cells = 40 its second coordinate lies on
+    # the edge 0.31147513635191526 between two cells: the upper cell's solve
+    # lands an ulp below that edge, and the lower cell's an ulp above it
+    Q = np.array([[1.1305222186590869, 0.13477669053461683],
+                  [0.13477669053461683, 0.9999119127810898]])
+    q = np.array([-0.9807473560440125, -0.17315522486203205])
+    prob = ProblemSpec(2, QuadraticLoss(Q, q), ScadPenalty(0.3, 3.7))
+    gamma = 0.7407517478717138
+    x0 = np.array([-3.868256240261576, 0.0620711821127736])
+    x1 = np.array([0.0, 0.31147513635191537])
+    step, _ = prob.penalty.prox_step(x0, x0 - gamma * prob.loss.gradient(x0), gamma)
+    assert np.array_equal(step, x1)
+    for cells in (40, 41, 400):
+        sols = brute_force_set_valued_solve(prob, "S_PG", x0 - x1, (x1 - 2.0, x1 + 2.0),
+                                            gamma=gamma, cells=cells)
+        assert len(sols) == 1 and np.linalg.norm(sols[0] - x1) <= 1e-12, (cells, sols)
+        assert np.all(sols[0] >= x1 - 2.0) and np.all(sols[0] <= x1 + 2.0)
+
+
+@pytest.mark.parametrize("g", [L1Penalty(0.5), ScadPenalty(0.5, 3.7), McpPenalty(0.5, 2.5),
+                               NegAbsPenalty(0.05)], ids=["l1", "scad", "mcp", "negabs"])
+def test_pg_iterates_solve_s_pg_at_their_own_perturbations(g):
+    # x^k in Prox(x^{k-1} - gamma grad f(x^{k-1})) means p_k / gamma in
+    # grad f(x^k + p_k) + prox-subdiff g(x^k), p_k = x^{k-1} - x^k: each PG
+    # iterate solves S_PG at its own perturbation.  The box centres x^k, so
+    # at cells = 40 it sits on a cell edge and at cells = 41 inside a cell
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((6, 2))
+    q = rng.standard_normal(2)
+    x0 = 3.0 * rng.standard_normal(2)
+    prob = ProblemSpec(2, QuadraticLoss(C.T @ C / 6 + 0.5 * np.eye(2), q), g)
+    L = prob.loss.lipschitz_bound().value
+    gamma = 0.9 / L
+    tr = pg_solve(prob, SolverConfig(gamma=gamma, max_iter=8, stop_tol=0.0, lipschitz_L=L), x0)
+    checked = 0
+    for x, p in zip(tr.points[1:], tr.perturbations[1:]):
+        if np.linalg.norm(p) < 1e-6:
+            continue
+        for cells in (40, 41):
+            sols = brute_force_set_valued_solve(prob, "S_PG", p, (x - 2.0, x + 2.0),
+                                                gamma=gamma, cells=cells)
+            d = min((np.linalg.norm(s - x) for s in sols), default=math.inf)
+            assert d <= 1e-8, (x.tolist(), cells, d)
+            checked += 1
+    assert checked >= 8

@@ -376,3 +376,14 @@ def test_group_partition_validation():
         GroupLasso([[0, 1], [1, 2]], [1.0, 1.0])
     with pytest.raises(PenaltyError):
         GroupLasso([[0]], [-1.0])
+
+
+@pytest.mark.parametrize("g, convex", [
+    (L1Penalty(0.7), True), (BoxIndicator(-1.0, 2.0), True), (ZeroPenalty(), True),
+    (GroupLasso([(0, 1), (2,)], [0.5, 1.0]), True), (ScadPenalty(0.6, 3.7), False),
+    (McpPenalty(0.8, 2.5), False), (NegAbsPenalty(0.4), False)],
+    ids=["l1", "box", "zero", "group-lasso", "scad", "mcp", "negabs"])
+def test_convexity_is_read_from_the_piece_table(g, convex):
+    # a separable family is convex when every piece is (a2 >= 0) and every
+    # join is a convex kink or smooth (dl <= dr)
+    assert g.convex is convex

@@ -19,10 +19,10 @@ from calmkit.core import ProblemSpec, SolverConfig
 from calmkit.diagnostics import residual
 from calmkit.losses import QuadraticLoss
 from calmkit.penalties import (BoxIndicator, GroupLasso, L1Penalty, McpPenalty,
-                               NegAbsPenalty, ScadPenalty, ZeroPenalty,
-                               select_closest)
+                               NegAbsPenalty, ScadPenalty, ZeroPenalty)
 from calmkit.solvers import pg_solve, ppa_solve
-from prox_reference import _scalar_prox_candidates, coordinate_sets_distance
+from prox_reference import (_scalar_prox_candidates, coordinate_sets_distance,
+                            select_closest)
 
 SCALAR, ARRAY = 10 ** 9, 1   # ARRAY_MIN_N forcing one value path or the other
 
