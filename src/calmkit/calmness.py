@@ -6,9 +6,10 @@ The multiplier systems of the separable criteria constrain, per coordinate,
 the planar vector ((H eta)_i, eta_i) (or (w_i, -(H w)_i) for critical
 directions) to an atom of a normal (or tangent) cone.  Each atom reduces to
 at most two linear equality/inequality rows, mapped into z-space once per
-atom; a combination stacks one such block per coordinate, and
-_nonzero_in_cone decides, in any dimension and without an LP, whether the
-cone they cut out is {0}.
+atom; a combination stacks one such block per coordinate.  The stacked
+kernel _nonzero_in_cones decides every combination of one shape (numbers
+of equality and inequality rows) in one batched SVD/QR pass, in any
+dimension and without an LP: is the cone they cut out {0}?
 
 R(a, b) = (-b, a) maps the tangent embedding (w_i, -(H w)_i) onto the
 multiplier embedding ((H w)_i, w_i), and a tangent direction along a piece
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.linalg import null_space  # noqa: F401  (perfbench/tracing.py wraps calmness.null_space)
 from scipy.optimize import linprog  # noqa: F401  (perfbench/tracing.py wraps calmness.linprog)
 
-from .core import ProblemSpec
+from .core import ProblemSpec, distance_to_set
 from .diagnostics import ModulusEstimate, is_proximal_stationary, sampled_modulus
 from .graphs_cones import (Atom, directional_limiting_normal_atoms,
                            limiting_normal_atoms, tangent_atoms)
@@ -40,6 +41,9 @@ from .oracle import brute_force_set_valued_solve, brute_force_stationary_set
 MAX_CERT_DIM = 8       # NNAMCQ enumerates 3^n multiplier systems
 MAX_FOSCMS_DIM = 12    # FOSCMS enumerates 2^n tangent systems
 FEAS_TOL = 1e-9
+CERT_CHUNK = 729       # combinations decided per stacked pass, in product order,
+FIRST_CHUNK = 9        # after a first small pass, so that an early witness stops early
+QR_SUBSETS = 8192      # row subsets per batched QR (at least one system's)
 
 
 class CertificateError(ValueError):
@@ -80,51 +84,51 @@ def _atom_rows(atom: Atom):
     return [], [(-g1[1], g1[0]), (g2[1], -g2[0])]
 
 
-def _coordinate_rows(atoms, r_s, r_t):
-    """Normalised rows (E, C) in z-space of each atom of one coordinate,
-    whose planar vector is v(z) = (r_s . z, r_t . z)."""
-    blocks = []
-    for atom in atoms:
-        E, C = (np.reshape(rows, (-1, 2)) for rows in _atom_rows(atom))
-        blocks.append((_normalize_rows(E[:, :1] * r_s + E[:, 1:] * r_t),
-                       _normalize_rows(C[:, :1] * r_s + C[:, 1:] * r_t)))
-    return blocks
-
-
-def _normalize_rows(M):
-    if M.shape[0] == 0:
-        return M
-    norms = np.linalg.norm(M, axis=1)
-    keep = norms > 1e-13
-    return M[keep] / norms[keep, None]
-
-
-def _svd_rank(A, rcond=None):
-    """Rank and right singular vectors Vt of A from one SVD.
-
-    The rank counts the singular values above rcond times the largest
-    (default eps * max(A.shape)), the rule of scipy.linalg.null_space.
-    Vt[rank:] is an orthonormal basis of the null space of A and Vt[:rank]
-    one of its row space; a matrix with no rows has rank 0 and Vt = I.
+def _atom_table(atoms, R_s, R_t):
+    """The normalised rows in z-space of every atom of every coordinate, in
+    coordinate order, where coordinate i's planar vector is
+    v(z) = (R_s[i] . z, R_t[i] . z); rows of norm <= 1e-13 are dropped.
+    Also, per atom in that order, the table indices of its E rows (pad[0])
+    and of its C rows (pad[1]), padded with -1: shape (2, atoms, 2).
     """
-    m, d = A.shape
+    planar, coordinate, slot = [], [], []
+    a = 0
+    for i, coordinate_atoms in enumerate(atoms):
+        for atom in coordinate_atoms:
+            for j, rows in enumerate(_atom_rows(atom)):
+                planar += rows
+                coordinate += [i] * len(rows)
+                slot += [(j, a, k) for k in range(len(rows))]
+            a += 1
+    P = np.array(planar, dtype=float).reshape(-1, 2)
+    coordinate = np.array(coordinate, dtype=np.intp)
+    M = P[:, :1] * R_s[coordinate] + P[:, 1:] * R_t[coordinate]
+    norms = np.sqrt((M * M).sum(axis=1))
+    keep = norms > 1e-13
+    index = keep.cumsum() - 1
+    index[~keep] = -1
+    pad = np.full((2, a, 2), -1, dtype=np.intp)
+    pad[tuple(np.array(slot, dtype=np.intp).reshape(-1, 3).T)] = index
+    return M[keep] / norms[keep, None], pad
+
+
+def _svd_ranks(A, rcond=None):
+    """Ranks (B,) and right singular vectors Vt (B, d, d) of a stack A of
+    shape (B, m, d), from one batched SVD.
+
+    Each rank counts the singular values above rcond times the largest
+    (default eps * max(m, d)), the rule of scipy.linalg.null_space.
+    Vt[b, rank:] is an orthonormal basis of the null space of A[b] and
+    Vt[b, :rank] one of its row space; matrices with no rows have rank 0
+    and Vt = I.
+    """
+    B, m, d = A.shape
     if m == 0:
-        return 0, np.eye(d)
+        return np.zeros(B, dtype=np.intp), np.broadcast_to(np.eye(d), (B, d, d))
     _, s, Vt = np.linalg.svd(A)
     if rcond is None:
         rcond = np.finfo(float).eps * max(m, d)
-    return int(np.count_nonzero(s > rcond * s[0])), Vt
-
-
-def _reduce(E, C):
-    """Normalised rows E, C as given, a null-space basis N of E, and Cc = C N.
-
-    {E z = 0, C z >= 0} is the image under N of the cone {y : Cc y >= 0}.
-    """
-    rank, Vt = _svd_rank(E)
-    N = Vt[rank:].T
-    Cc = _normalize_rows(C @ N) if C.shape[0] and N.shape[1] else np.zeros((0, N.shape[1]))
-    return E, C, N, Cc
+    return (s > rcond * s[:, :1]).sum(axis=1), Vt
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,37 +137,100 @@ def _row_subsets(m, k):
     return np.array(list(itertools.combinations(range(m), k)), dtype=np.intp)
 
 
-def _nonzero_in_cone(N, Cc):
-    """A nonzero z = N y with Cc y >= 0, y a unit generator of the cone, or
-    None if only y = 0 qualifies; (N, Cc) is the reduction made by _reduce.
+def _groups(keys):
+    """(key, indices) per distinct value of the integer array keys."""
+    if keys.size == 1 or (keys == keys[0]).all():
+        return [(int(keys[0]), np.arange(keys.size))]
+    return [(k, np.flatnonzero(keys == k)) for k in np.unique(keys).tolist()]
+
+
+def _cone_points(N, Cc):
+    """A point z = N y of each system of a stack, with y a unit generator of
+    the cone {y : Cc y >= 0}, and whether that cone is not {0}: z (b, n)
+    and ok (b,) for N (b, n, d) and unit rows Cc (b, m, d).
 
     Below full rank, y is the first basis vector of the lineality space
     {Cc y = 0} from one SVD: unit rows bound the largest singular value by
-    sqrt(rows), so the rank cutoff keeps |Cc y| <= FEAS_TOL.  At full rank r
-    the cone is pointed, and unless it is {0} it has an extreme ray, a unit
-    null vector u of r - 1 rows: the last column of a complete QR of each
-    (r - 1)-row subset's transpose (rank-deficient subsets give rays that
+    sqrt(m), so the rank cutoff keeps |Cc y| <= FEAS_TOL.  At full rank d the
+    cone is pointed, and unless it is {0} it has an extreme ray, a unit null
+    vector u of d - 1 rows: the last column of a complete QR of each
+    (d - 1)-row subset's transpose (rank-deficient subsets give rays that
     need not be extreme, never a point outside the cone), and y is the first
-    of +-u in the cone.  One point is all either certificate needs: a
-    multiplier fails NNAMCQ, and a critical direction settles FOSCMS.
+    of +-u, in subset order, in the cone.  The QR runs over the subsets of
+    as many systems at once as QR_SUBSETS allows, which bounds its memory.
+    N u reads u in place, as a column of Q, and N (-u) from a copy: BLAS's
+    matrix-vector product rounds differently at the two strides, and these
+    are the strides at which z was always computed.
     """
-    d = N.shape[1]
-    if d == 0:
-        return None
-    m = Cc.shape[0]
-    rank, Vt = _svd_rank(Cc, FEAS_TOL / math.sqrt(max(m, 1)))
-    if rank < d:
-        return N @ Vt[rank]
-    U = np.linalg.qr(Cc[_row_subsets(m, rank - 1)].transpose(0, 2, 1),
-                     mode="complete")[0][:, :, -1]
-    P = Cc @ U.T
-    pos = np.all(P >= -FEAS_TOL, axis=0)
-    neg = np.all(P <= FEAS_TOL, axis=0)
-    hits = np.flatnonzero(pos | neg)
-    if not hits.size:
-        return None
-    k = hits[0]
-    return N @ (U[k] if pos[k] else -U[k])
+    b, m, d = Cc.shape
+    rank, Vt = _svd_ranks(Cc, FEAS_TOL / math.sqrt(max(m, 1)))
+    Y = Vt[np.arange(b), np.minimum(rank, d - 1)]    # full-rank rows are replaced below
+    Z = (N @ Y[:, :, None])[:, :, 0]
+    ok = np.ones(b, dtype=bool)
+    full = np.flatnonzero(rank == d)
+    if not full.size:
+        return Z, ok
+    subsets = _row_subsets(m, d - 1)
+    step = max(1, QR_SUBSETS // len(subsets))
+    for lo in range(0, full.size, step):
+        at = full[lo:lo + step]
+        Cf = Cc[at]
+        Q = np.linalg.qr(Cf[:, subsets].transpose(0, 1, 3, 2), mode="complete")[0]
+        P = Cf @ Q[..., -1].transpose(0, 2, 1)
+        pos = (P >= -FEAS_TOL).all(axis=1)
+        hits = pos | (P <= FEAS_TOL).all(axis=1)
+        i, k = np.arange(at.size), hits.argmax(axis=1)
+        ok[at] = hits[i, k]
+        Q, pos = Q[i, k], pos[i, k]
+        Z[at[pos]] = (N[at[pos]] @ Q[pos][:, :, -1:])[:, :, 0]
+        Z[at[~pos]] = (N[at[~pos]] @ -Q[~pos][:, :, -1:])[:, :, 0]
+    return Z, ok
+
+
+def _nonzero_in_cones(E, C):
+    """Decide a stack of systems {E z = 0, C z >= 0} in one batched pass.
+
+    E (B, mE, n) and C (B, mC, n) hold normalised rows.  Returns found (B,),
+    a unit z (B, n) of each system that has a nonzero solution (zero rows
+    elsewhere) and the membership residual of z in its system (B,), 0.0
+    where none was found.  One point is all either certificate needs: a
+    multiplier fails NNAMCQ, and a critical direction settles FOSCMS.
+
+    A batched SVD gives each system a null-space basis N of E; the systems
+    are grouped by its dimension d.  {E z = 0, C z >= 0} is the image under N
+    of the cone {y : Cc y >= 0}, where Cc = C N with its rows normalised and
+    rows of norm <= 1e-13 dropped; the systems are grouped again by which
+    rows they keep, and _cone_points decides each group.
+    """
+    B, mE, n = E.shape
+    mC = C.shape[1]
+    found = np.zeros(B, dtype=bool)
+    Z = np.zeros((B, n))
+    rank, Vt = _svd_ranks(E)
+    for r, at in _groups(rank):
+        if r == n:
+            continue
+        N = Vt[at, r:].transpose(0, 2, 1)
+        M = C[at] @ N
+        norms = np.sqrt((M * M).sum(axis=2))
+        keep = norms > 1e-13
+        for _, g in _groups(keep @ (1 << np.arange(mC))):
+            rows = keep[g[0]]
+            z, ok = _cone_points(N[g], M[g][:, rows] / norms[g][:, rows, None])
+            found[at[g[ok]]] = True
+            Z[at[g[ok]]] = z[ok]
+    res = np.zeros(B)
+    hit = np.flatnonzero(found)
+    if hit.size:
+        z = Z[hit]
+        z = z / np.sqrt(z[:, None, :] @ z[:, :, None])[:, 0]
+        Z[hit] = z
+        z = z[:, :, None]
+        if mE:
+            res[hit] = np.max(np.abs(E[hit] @ z), axis=(1, 2))
+        if mC:
+            res[hit] = np.maximum(res[hit], np.max(np.maximum(-(C[hit] @ z), 0.0), axis=(1, 2)))
+    return found, Z, res
 
 
 def _membership_residual(E, C, z):
@@ -176,24 +243,40 @@ def _membership_residual(E, C, z):
     return r
 
 
-def _systems(atoms, emb_rows):
-    """Reduce the system of each combination of one atom per coordinate,
-    stacking rows that are built once per atom."""
-    blocks = [_coordinate_rows(a, r_s, r_t) for a, (r_s, r_t) in zip(atoms, emb_rows)]
-    for combo in itertools.product(*blocks):
-        yield _reduce(np.vstack([E for E, _ in combo]), np.vstack([C for _, C in combo]))
+def _combinations(atoms, R_s, R_t):
+    """Decide the system of each combination of one atom per coordinate, in
+    itertools.product order: yields (found, z, residual) of _nonzero_in_cones
+    for the first FIRST_CHUNK combinations, then per chunk of CERT_CHUNK.
+    Coordinate i's planar vector is v(z) = (R_s[i] . z, R_t[i] . z).
 
-
-def _multipliers(atoms, emb_rows):
-    """Per combination: a unit z != 0 of its system with the membership
-    residual of z in that same system, or (None, 0.0) when only zero exists."""
-    for E, C, N, Cc in _systems(atoms, emb_rows):
-        z = _nonzero_in_cone(N, Cc)
-        if z is None:
-            yield None, 0.0
+    The table of _atom_table lists the rows in coordinate order, so a
+    combination's rows are its atoms' table indices in ascending order; each
+    chunk's systems go to the kernel grouped by their numbers of equality
+    and inequality rows.
+    """
+    table, pad = _atom_table(atoms, R_s, R_t)
+    sizes = [len(a) for a in atoms]
+    first = np.array([0, *itertools.accumulate(sizes[:-1])])
+    total = math.prod(sizes)
+    width = 2 * len(sizes)
+    bounds = [0, *range(min(FIRST_CHUNK, total), total, CERT_CHUNK), total]
+    for lo, hi in zip(bounds, bounds[1:]):
+        digits = np.unravel_index(np.arange(lo, hi), sizes)
+        idx = pad[:, np.transpose(digits) + first].reshape(2, -1, width)
+        idx.sort(axis=2)    # pads first, then each system's rows in order
+        mE, mC = (idx >= 0).sum(axis=2)
+        groups = _groups(mE * (width + 1) + mC)
+        if len(groups) == 1:
+            e, c = divmod(groups[0][0], width + 1)
+            yield _nonzero_in_cones(table[idx[0, :, width - e:]], table[idx[1, :, width - c:]])
             continue
-        z = z / np.linalg.norm(z)
-        yield z, _membership_residual(E, C, z)
+        b = len(mE)
+        found, Z, res = np.zeros(b, dtype=bool), np.zeros((b, table.shape[1])), np.zeros(b)
+        for key, g in groups:
+            e, c = divmod(key, width + 1)
+            found[g], Z[g], res[g] = _nonzero_in_cones(table[idx[0, g, width - e:]],
+                                                       table[idx[1, g, width - c:]])
+        yield found, Z, res
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +309,20 @@ def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     x_bar, G, H, points = _certificate_setup(prob, x_bar, tol, MAX_CERT_DIM)
     n = prob.n
     atoms = [limiting_normal_atoms(G, p, tol) for p in points]
-    emb = [(H[i], np.eye(n)[i]) for i in range(n)]
     examined = suspect = 0
-    for z, res in _multipliers(atoms, emb):
-        examined += 1
-        if z is None:
+    for found, Z, res in _combinations(atoms, H, np.eye(n)):
+        hits = np.flatnonzero(found)
+        near = res[hits] > 1e-9    # near-degenerate systems: keep enumerating
+        if near.all():
+            examined += found.size
+            suspect += hits.size
             continue
-        if res > 1e-9:
-            suspect += 1   # near-degenerate system: keep enumerating
-            continue
+        k = hits[np.argmin(near)]
+        z = Z[k]
         return CertificateReport(
             condition="NNAMCQ", verdict="fails",
-            witnesses=[[H @ z, z]], pieces_examined=examined,
-            notes="nonzero multiplier (xi, eta); membership residual %.2e" % res)
+            witnesses=[[H @ z, z]], pieces_examined=examined + int(k) + 1,
+            notes="nonzero multiplier (xi, eta); membership residual %.2e" % res[k])
     if suspect:
         return CertificateReport(condition="NNAMCQ", verdict="inconclusive",
                                  pieces_examined=examined,
@@ -266,18 +350,18 @@ def check_foscms(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     x_bar, G, H, points = _certificate_setup(prob, x_bar, tol, MAX_FOSCMS_DIM)
     n = prob.n
     t_atoms = [tangent_atoms(G, p, tol) for p in points]
-    emb_w = [(np.eye(n)[i], -H[i]) for i in range(n)]
     examined = 0
-    for _, _, N, Cc in _systems(t_atoms, emb_w):
-        examined += 1
-        w = _nonzero_in_cone(N, Cc)
-        if w is not None:
+    for found, W, _ in _combinations(t_atoms, np.eye(n), -H):
+        if found.any():
+            k = int(np.argmax(found))
+            examined += k + 1
+            w = W[k]
             break
+        examined += found.size
     else:
         return CertificateReport(condition="isolated-calmness", verdict="holds",
                                  pieces_examined=examined,
                                  notes="no nonzero linearized critical direction")
-    w = w / np.linalg.norm(w)
     Hw = H @ w
     res = max(_planar_residual(directional_limiting_normal_atoms(G, p, (wi, -hi), tol),
                                np.array([hi, wi])) for p, wi, hi in zip(points, w, Hw))
@@ -344,11 +428,12 @@ def estimate_calmness_modulus(prob: ProblemSpec, x_bar, map_kind: str,
     if S.is_empty:
         raise CertificateError("oracle found no stationary point near x_bar")
     grid_p = map(np.array, itertools.product(*[np.linspace(-radius, radius, grid)] * n))
-    solutions = ((x, p) for p in grid_p if np.linalg.norm(p) >= 1e-14
+    solutions = ((x, p, distance_to_set(x, S))
+                 for p in grid_p if np.linalg.norm(p) >= 1e-14
                  for x in brute_force_set_valued_solve(prob, map_kind, p, box, gamma=gamma,
                                                        cells=cells)
                  if np.linalg.norm(x - x_bar) <= loc_radius)
-    est = sampled_modulus(solutions, S)
+    est = sampled_modulus(solutions)
     if est is None:
         raise CertificateError("oracle found no perturbed solutions in the window")
     return est

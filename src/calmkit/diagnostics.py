@@ -106,11 +106,11 @@ class ModulusEstimate:
                 "note": self.note}
 
 
-def sampled_modulus(samples, S: StationarySetApprox) -> ModulusEstimate | None:
-    """The largest dist(x, S) / ||p|| over samples (x, p), x a solution of the map
-    perturbed by p, naming the first sample within RATIO_REL_TOL of it; None
-    without samples."""
-    taken = [(distance_to_set(x, S) / float(np.linalg.norm(p)), x, p) for x, p in samples]
+def sampled_modulus(samples) -> ModulusEstimate | None:
+    """The largest d / ||p|| over samples (x, p, d), x a solution of the map
+    perturbed by p and d = dist(x, S), naming the first sample within
+    RATIO_REL_TOL of it; None without samples."""
+    taken = [(d / float(np.linalg.norm(p)), x, p) for x, p, d in samples]
     if not taken:
         return None
     top = max(ratio for ratio, _, _ in taken)
@@ -129,11 +129,11 @@ def estimate_error_bound_constant(trace: IterateTrace, S: StationarySetApprox,
     (its certified localization resolution), are excluded.
     """
     x_ref = trace.final
-    steps = ((x, p) for x, p in zip(trace.points[1:], trace.perturbations[1:])
+    steps = ((x, p, d) for x, p in zip(trace.points[1:], trace.perturbations[1:])
              if float(np.linalg.norm(p)) >= 1e2 * EPS
              and float(np.linalg.norm(x - x_ref)) <= window
-             and distance_to_set(x, S) > 3.0 * S.radius)
-    est = sampled_modulus(steps, S)
+             and (d := distance_to_set(x, S)) > 3.0 * S.radius)
+    est = sampled_modulus(steps)
     if est is None:
         return ModulusEstimate(kappa_hat=math.nan, samples=0,
                                max_ratio_point=None, max_ratio_perturbation=None,

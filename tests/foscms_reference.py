@@ -9,9 +9,10 @@ enumeration so that tests can compare the two verdicts.
 
 import numpy as np
 
-from calmkit.calmness import (MAX_FOSCMS_DIM, _certificate_setup, _multipliers,
-                              _nonzero_in_cone, _systems)
+from calmkit.calmness import MAX_FOSCMS_DIM, _certificate_setup
 from calmkit.graphs_cones import directional_limiting_normal_atoms, tangent_atoms
+
+from cone_reference import _multipliers, _nonzero_in_cone, _systems
 
 
 def reference_foscms(prob, x_bar, tol=1e-8):

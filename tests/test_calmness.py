@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import zlib
 
 import numpy as np
@@ -381,15 +382,24 @@ def _random_cone_system(rng, kind):
     return E, rows @ N.T
 
 
+def _nonzero_in_cone(E, C):
+    """The stacked kernel on a batch of one: its unit z != 0 of the system
+    {E z = 0, C z >= 0}, or None when only z = 0 solves it."""
+    from calmkit.calmness import _nonzero_in_cones
+    found, Z, _ = _nonzero_in_cones(np.asarray(E, dtype=float)[None],
+                                    np.asarray(C, dtype=float)[None])
+    return Z[0] if found[0] else None
+
+
 @pytest.mark.parametrize("kind", ["pointed", "lineality", "zero", "random",
                                   "duplicated", "rank-deficient"])
 def test_nonzero_in_cone_matches_box_lp_reference(kind):
-    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+    from calmkit.calmness import FEAS_TOL
     rng = np.random.default_rng(zlib.crc32(kind.encode()))
     found = 0
     for _ in range(50):
         E, C = _random_cone_system(rng, kind)
-        z = _nonzero_in_cone(*_reduce(E, C)[2:])
+        z = _nonzero_in_cone(E, C)
         assert (z is not None) == _box_lp_has_nonzero(E, C)
         if z is None:
             continue
@@ -433,7 +443,8 @@ def _low_dim_cone_system(rng, kind, d):
 @pytest.mark.parametrize("kind", ["sector", "half-plane", "parallel", "line",
                                   "zero", "no-rows"])
 def test_nonzero_in_cone_matches_box_lp_in_one_and_two_dimensions(kind):
-    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+    from calmkit.calmness import FEAS_TOL
+    from cone_reference import _reduce
     rng = np.random.default_rng(zlib.crc32(("low-" + kind).encode()))
     for d in (1, 2):
         found = 0
@@ -441,7 +452,7 @@ def test_nonzero_in_cone_matches_box_lp_in_one_and_two_dimensions(kind):
             E, C = _low_dim_cone_system(rng, kind, d)
             N, Cc = _reduce(E, C)[2:]
             assert N.shape[1] == d
-            z = _nonzero_in_cone(N, Cc)
+            z = _nonzero_in_cone(E, C)
             assert (z is not None) == _box_lp_has_nonzero(E, C)
             if z is None:
                 continue
@@ -482,12 +493,13 @@ def test_cone_generators_generate_their_cone(kind):
     # rank that vector spans part of the lineality space (it comes before
     # any QR); at full rank it is an extreme ray, where the active rows have
     # rank d - 1.
-    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+    from calmkit.calmness import FEAS_TOL
+    from cone_reference import _reduce
     rng = np.random.default_rng(zlib.crc32(("generators-" + kind).encode()))
     for _ in range(50):
         E, C = _random_cone(rng, kind)
         N, Cc = _reduce(E, C)[2:]
-        z = _nonzero_in_cone(N, Cc)
+        z = _nonzero_in_cone(E, C)
         assert (z is not None) == _box_lp_has_nonzero(E, C)
         if z is None:
             assert kind == "zero"
@@ -507,11 +519,9 @@ def test_cone_generators_generate_their_cone(kind):
 
 
 def test_cone_generators_on_hand_made_cones():
-    from calmkit.calmness import _nonzero_in_cone, _reduce
-
     def generator(C, d):
         C = np.asarray(C, dtype=float).reshape(-1, d)
-        z = _nonzero_in_cone(*_reduce(np.zeros((0, d)), C)[2:])
+        z = _nonzero_in_cone(np.zeros((0, d)), C)
         return None if z is None else np.round(z, 12).tolist()
 
     # the orthant, each row twice: pointed, so the edge that the first two
@@ -528,7 +538,12 @@ def test_cone_generators_on_hand_made_cones():
 
 def test_svd_rank_follows_the_null_space_rule_of_scipy():
     from scipy.linalg import null_space
-    from calmkit.calmness import _svd_rank
+    from calmkit.calmness import _svd_ranks
+
+    def _svd_rank(A):
+        ranks, Vt = _svd_ranks(A[None])    # a batch of one
+        return ranks[0], Vt[0]
+
     rng = np.random.default_rng(11)
     for _ in range(100):
         m, d = (int(k) for k in rng.integers(1, 9, size=2))
@@ -575,11 +590,11 @@ def test_multiplier_systems_call_no_lp(monkeypatch):
 
 
 def test_extreme_ray_test_on_hand_made_cones():
-    from calmkit.calmness import FEAS_TOL, _nonzero_in_cone, _reduce
+    from calmkit.calmness import FEAS_TOL
 
     def nonzero(C):
         C = np.asarray(C, dtype=float)
-        return _nonzero_in_cone(*_reduce(np.zeros((0, C.shape[1])), C)[2:])
+        return _nonzero_in_cone(np.zeros((0, C.shape[1])), C)
 
     # the positive orthant of R^3 is pointed, so only the extreme rays decide it
     z = nonzero(np.eye(3))
@@ -597,7 +612,7 @@ def test_extreme_ray_test_on_hand_made_cones():
 
 @pytest.mark.parametrize("name", ["l1-vertex", "scad-kink"])
 def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
-    from calmkit.calmness import _coordinate_rows, _nonzero_in_cone, _reduce
+    from cone_reference import _coordinate_rows, _reduce
     from calmkit.graphs_cones import limiting_normal_atoms
     n = 5
     if name == "l1-vertex":
@@ -619,7 +634,7 @@ def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
         N, Cc = _reduce(E, C)[2:]
         systems += 1
         wide += N.shape[1] >= 3 and Cc.shape[0] > 0
-        assert (_nonzero_in_cone(N, Cc) is not None) == _box_lp_has_nonzero(E, C), combo
+        assert (_nonzero_in_cone(E, C) is not None) == _box_lp_has_nonzero(E, C), combo
     assert systems == 3 ** n
     assert wide > 0
 
@@ -751,21 +766,26 @@ def _stationary_instances(seed, count):
         yield _random_stationary_instance(rng, penalty, Q)
 
 
-def _certify_workload_instances():
-    """The certify-n6 benchmark instances (and their n = 4 variants), with
-    the verdicts that perfbench/certify_reference.json pins for them."""
+_BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _perfbench_workloads():
     import importlib.util
-    import json
-    import os
     import sys
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  os.path.join(bench, "workloads.py"))
+                                                  os.path.join(_BENCH, "workloads.py"))
     workloads = importlib.util.module_from_spec(spec)
     sys.modules.setdefault(spec.name, workloads)
     spec.loader.exec_module(workloads)
-    with open(os.path.join(bench, "certify_reference.json")) as fh:
+    return workloads
+
+
+def _certify_workload_instances():
+    """The certify-n6 benchmark instances (and their n = 4 variants), with
+    the verdicts that perfbench/certify_reference.json pins for them."""
+    import json
+    workloads = _perfbench_workloads()
+    with open(os.path.join(_BENCH, "certify_reference.json")) as fh:
         pins = json.load(fh)
     return [(prob, x, pins[name]["foscms"]) for n in (4, 6) for seed in range(10)
             for name, prob, x in workloads.certify_instances(seed, n)]
@@ -835,3 +855,138 @@ def test_foscms_inconclusive_implies_nnamcq_does_not_hold():
             assert check_nnamcq(prob, x_bar).verdict != "holds"
     assert inconclusive >= 20
 
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernel against the per-combination chain of tests/cone_reference.py
+
+def _certificate_systems(prob, x_bar):
+    """The NNAMCQ multiplier atoms with their embedding (H, I), and the
+    FOSCMS tangent atoms with theirs (I, -H)."""
+    from calmkit.calmness import MAX_FOSCMS_DIM, _certificate_setup
+    from calmkit.graphs_cones import limiting_normal_atoms, tangent_atoms
+    x_bar, G, H, points = _certificate_setup(prob, x_bar, 1e-8, MAX_FOSCMS_DIM)
+    eye = np.eye(prob.n)
+    yield [limiting_normal_atoms(G, p, 1e-8) for p in points], H, eye
+    yield [tangent_atoms(G, p, 1e-8) for p in points], eye, -H
+
+
+def _stacked(atoms, R_s, R_t):
+    from calmkit.calmness import _combinations
+    found, Z, res = (np.concatenate(a) for a in zip(*_combinations(atoms, R_s, R_t)))
+    return found, Z, res
+
+
+def test_stacked_kernel_matches_the_per_combination_chain():
+    # certify-n6's instances at n = 2..6 and seeds 0..9, Example 5.1, and
+    # random stationary instances, whose systems often have a solution
+    from cone_reference import _multipliers
+    workloads = _perfbench_workloads()
+    cases = [(prob, x) for seed in range(10) for n in range(2, 7)
+             for _, prob, x in workloads.certify_instances(seed, n)]
+    cases += [(c.prob, c.z_bar) for c in example_5_1_cases()]
+    cases += list(_stationary_instances(11, 150))
+    systems = found = 0
+    for prob, x_bar in cases:
+        for atoms, R_s, R_t in _certificate_systems(prob, x_bar):
+            emb = list(zip(R_s, R_t))
+            got, Z, res = _stacked(atoms, R_s, R_t)
+            want = list(_multipliers(atoms, emb))
+            assert len(want) == len(got)
+            for k, (z, r) in enumerate(want):
+                assert got[k] == (z is not None)
+                if z is None:
+                    assert res[k] == 0.0 and not Z[k].any()
+                    continue
+                assert np.array_equal(Z[k], z) and res[k] == r
+                found += 1
+            systems += len(want)
+    assert systems >= 27000
+    assert found >= 1000
+
+
+def _random_stacked_systems(rng, B, n, mE, mC):
+    """B systems of normalised rows E (B, mE, n), C (B, mC, n): some E are
+    rank-deficient, and some C rows lie in the row space of E, so that C N
+    drops them; half the C are closed to {0} by minus their sum."""
+    E = rng.standard_normal((B, mE, n))
+    C = rng.standard_normal((B, mC, n))
+    for b in range(B):
+        if mE > 1 and rng.random() < 0.4:
+            E[b, -1] = E[b, 0]
+        if mE and mC and rng.random() < 0.3:
+            C[b, 0] = E[b, 0] * rng.uniform(0.5, 2.0)
+        if mC > 1 and rng.random() < 0.5:
+            C[b] *= np.sign(C[b] @ rng.standard_normal(n))[:, None]
+        elif mC > 1:
+            C[b, -1] = -C[b, :-1].sum(axis=0)
+    E /= np.linalg.norm(E, axis=2, keepdims=True)
+    C /= np.linalg.norm(C, axis=2, keepdims=True)
+    return E, C
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 3), (3, 0, 2), (4, 1, 4), (4, 2, 5), (5, 2, 6),
+                                   (3, 3, 0), (6, 1, 8), (5, 0, 7)])
+def test_stacked_kernel_decides_each_system_of_a_batch_as_alone(shape):
+    # one batch mixes null-space dimensions, kept-row masks, lineality
+    # spaces, pointed cones and {0}; each system's answer is the chain's
+    from calmkit.calmness import _membership_residual, _nonzero_in_cones
+    from cone_reference import _nonzero_in_cone as chain, _reduce
+    n, mE, mC = shape
+    rng = np.random.default_rng(zlib.crc32(repr(shape).encode()))
+    E, C = _random_stacked_systems(rng, 60, n, mE, mC)
+    found, Z, res = _nonzero_in_cones(E, C)
+    for b in range(len(E)):
+        z = chain(*_reduce(E[b], C[b])[2:])
+        assert found[b] == (z is not None)
+        if z is not None:
+            z = z / np.linalg.norm(z)
+            assert np.array_equal(Z[b], z) and res[b] == _membership_residual(E[b], C[b], z)
+    if mC > n - mE or mE >= n:     # enough rows to leave only z = 0
+        assert 0 < found.sum() < len(E)
+    else:
+        assert found.all()
+
+
+def test_chunks_and_qr_batches_do_not_change_the_answers(monkeypatch):
+    import calmkit.calmness as calmness
+    cases = [(_l1_all_vertex(4, 3), np.zeros(4)), _scad_all_kink(5, 4)]
+    cases += list(itertools.islice(_stationary_instances(13, 150), 4, 40, 5))
+    want = [_stacked(*system) for prob, x in cases for system in _certificate_systems(prob, x)]
+    monkeypatch.setattr(calmness, "FIRST_CHUNK", 2)
+    monkeypatch.setattr(calmness, "CERT_CHUNK", 7)
+    monkeypatch.setattr(calmness, "QR_SUBSETS", 1)
+    got = [_stacked(*system) for prob, x in cases for system in _certificate_systems(prob, x)]
+    for a, b in zip(want, got):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    assert sum(int(found.sum()) for found, _, _ in want) > 0
+
+
+def _l1_vertex_singular(n, seed, j):
+    # Q e_j = 0: eta = e_j gives ((Q eta)_j, eta_j) = (0, 1), on coordinate
+    # j's line {xi_j = 0}, and (0, 0) elsewhere, so every combination that
+    # takes that line has a nonzero multiplier
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((2 * n, n))
+    Q = A.T @ A / (2 * n) + 0.5 * np.eye(n)
+    Q[j, :] = Q[:, j] = 0.0
+    signs = rng.choice([-1.0, 1.0], size=n)
+    return ProblemSpec(n, QuadraticLoss(Q, -signs), L1Penalty(1.0))
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_nnamcq_fails_where_the_reference_fails(n):
+    from cone_reference import reference_nnamcq
+    examined = []
+    for j in (0, 1, n - 1):
+        prob = _l1_vertex_singular(n, 4, j)
+        rep, ref = check_nnamcq(prob, np.zeros(n)), reference_nnamcq(prob, np.zeros(n))
+        assert rep.verdict == ref.verdict == "fails"
+        assert rep.pieces_examined == ref.pieces_examined
+        assert rep.notes == ref.notes
+        assert all(np.array_equal(a, b) for a, b in zip(rep.witnesses[0], ref.witnesses[0]))
+        assert rep.to_json() == ref.to_json()
+        examined.append(rep.pieces_examined)
+    assert min(examined) <= 2
+    if n == 8:
+        assert max(examined) > 9 + 729    # past the first two passes
