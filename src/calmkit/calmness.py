@@ -265,14 +265,9 @@ def _combinations(atoms, R_s, R_t):
         idx = pad[:, np.transpose(digits) + first].reshape(2, -1, width)
         idx.sort(axis=2)    # pads first, then each system's rows in order
         mE, mC = (idx >= 0).sum(axis=2)
-        groups = _groups(mE * (width + 1) + mC)
-        if len(groups) == 1:
-            e, c = divmod(groups[0][0], width + 1)
-            yield _nonzero_in_cones(table[idx[0, :, width - e:]], table[idx[1, :, width - c:]])
-            continue
         b = len(mE)
         found, Z, res = np.zeros(b, dtype=bool), np.zeros((b, table.shape[1])), np.zeros(b)
-        for key, g in groups:
+        for key, g in _groups(mE * (width + 1) + mC):
             e, c = divmod(key, width + 1)
             found[g], Z[g], res[g] = _nonzero_in_cones(table[idx[0, g, width - e:]],
                                                        table[idx[1, g, width - c:]])

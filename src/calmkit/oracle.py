@@ -2,14 +2,17 @@
 and perturbed stationary-set solves on boxes (n <= 2).
 
 One scan serves the stationary set S(0) = S_cano(0) and the perturbed maps
-S_cano(p) and S_PG(p).  It keeps the grid cells whose target lies near the
-hull of the cell's options (a penalty piece, where the inclusion is an
-equation, or a breakpoint, where the coordinate is fixed), solves every
-combination of options in each kept cell once, and counts a root only if it
-lies in the closed cell and passes the exact residual (subdiff_distances).
-A root on an edge two cells share can come out of either cell's solve a few
-ulps outside it, so a root within 4 eps (1 + |edge|) of the cell is clipped
-onto the cell (the box keeps every point) and judged there.
+S_cano(p) and S_PG(p).  Each axis has one option table: the penalty's
+pieces, where the inclusion is an equation, then its breakpoints, where the
+coordinate is fixed, and a mask of the options each cell side has.  The
+scan keeps the grid cells whose target lies near the hull of the options'
+values, solves every combination of a kept cell's options once, and counts
+a root only if it lies in the closed cell and passes the exact residual
+(subdiff_distances).  A root on an edge two cells share can come out of
+either cell's solve a few ulps outside it, so a root within
+4 eps (1 + |edge|) of the cell is clipped onto the cell (the box keeps every
+point) and judged there.  Roots within POINT_RADIUS of each other are one
+point.
 
 Each combination is solved by Gauss-Newton from the cell centre, with the
 target's own Jacobian: minus the loss's Hessian (central differences of the
@@ -41,6 +44,7 @@ SCAN_CHUNK = 2_000_000   # grid points per vectorized evaluation of the scalar s
 ACCEPT_TOL = 1e-7   # exact residual at which a cell root counts as a solution
 NEWTON_MAX_ITER = 60
 FD_STEP = 1e-6      # central-difference step of the target's Jacobian without a Hessian
+POINT_RADIUS = 1e-6   # localization radius of an oracle point: roots this close are one
 
 
 class OracleError(RuntimeError):
@@ -169,45 +173,30 @@ def _cartesian(axes):
     return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
-def _piece_meets(plo, phi, lo, hi):
-    """The open piece interval (plo, phi) meets the closed cell side [lo, hi]."""
-    return (plo < hi) & (phi > lo)
+def _option_table(penalty, left, right, limiting):
+    """One axis's option table over its cell sides [left, right].
 
-
-def _on_side(t, lo, hi):
-    """The breakpoint t lies on the closed cell side [lo, hi]."""
-    return (lo <= t) & (t <= hi)
-
-
-def _cell_options(penalty, lo, hi):
-    """One coordinate's options on the closed cell side [lo, hi].
-
-    A piece (plo, phi, a2, a1) whose open interval meets the side makes the
-    inclusion the equation target_i(x) = 2 a2 x_i + a1; a breakpoint t on
-    the side fixes x_i = t and leaves membership to the exact residual.
+    The options are the pieces (plo, phi, a2, a1), then the breakpoints.  A
+    piece whose open interval meets a side makes the inclusion the equation
+    target_i(x) = 2 a2 x_i + a1 there; a breakpoint t on the closed side
+    fixes x_i = t and leaves membership to the exact residual.  Returns the
+    options, the (cells, options) mask of the ones each side has, and each
+    side's hull of its options' values (a piece's slope at the ends of its
+    overlap with the side, the subdifferential at a breakpoint), empty as
+    (+inf, -inf).
     """
-    opts = [(plo, phi, a2, a1) for plo, phi, a2, a1, _a0 in penalty.pieces
-            if _piece_meets(plo, phi, lo, hi)]
-    return opts + [t for t in penalty.breakpoints() if _on_side(t, lo, hi)]
-
-
-def _option_hulls(penalty, left, right, limiting):
-    """Per cell side [left, right] of one axis, the hull of its options'
-    values: a meeting piece's slope at the ends of its overlap with the side,
-    the subdifferential at a breakpoint on it; empty as (+inf, -inf)."""
-    lo_h = np.full(left.shape, math.inf)
-    hi_h = np.full(left.shape, -math.inf)
-    for plo, phi, a2, a1, _a0 in penalty.pieces:
-        ends = [2.0 * a2 * t + a1 for t in (np.maximum(plo, left), np.minimum(phi, right))]
-        meets = _piece_meets(plo, phi, left, right)
-        lo_h = np.where(meets, np.minimum(lo_h, np.minimum(*ends)), lo_h)
-        hi_h = np.where(meets, np.maximum(hi_h, np.maximum(*ends)), hi_h)
+    pieces = [piece[:4] for piece in penalty.pieces]
     bps = penalty.breakpoints()
-    for t, bl, bh in zip(bps, *penalty.subdiff_bounds_array(np.array(bps), limiting)):
-        on = _on_side(t, left, right)
-        lo_h = np.where(on, np.minimum(lo_h, bl), lo_h)
-        hi_h = np.where(on, np.maximum(hi_h, bh), hi_h)
-    return lo_h, hi_h
+    plo, phi, a2, a1 = np.array(pieces).T
+    t = np.array(bps, dtype=float)
+    L, R = left[:, None], right[:, None]
+    has = np.hstack([(plo < R) & (phi > L), (L <= t) & (t <= R)])
+    ends = [2.0 * a2 * np.maximum(plo, L) + a1, 2.0 * a2 * np.minimum(phi, R) + a1]
+    bl, bh = (np.broadcast_to(b, (len(left), len(bps)))
+              for b in penalty.subdiff_bounds_array(t, limiting))
+    lo_h = np.where(has, np.hstack([np.minimum(*ends), bl]), math.inf).min(axis=1)
+    hi_h = np.where(has, np.hstack([np.maximum(*ends), bh]), -math.inf).max(axis=1)
+    return pieces + bps, has, lo_h, hi_h
 
 
 def _strictly_inside(t, lo, hi):
@@ -216,35 +205,19 @@ def _strictly_inside(t, lo, hi):
             and (math.isinf(hi) or hi - t > 1e-12 * (1.0 + abs(hi))))
 
 
-def _newton(equations, jacobian, z):
-    """Gauss-Newton on equations(z) = 0 from z with minimum-norm steps.
-
-    Stops at a non-finite residual, at a step below 4 eps (1 + |z|) on
-    every coordinate, or after NEWTON_MAX_ITER steps; the caller judges
-    the point it returns."""
-    for _ in range(NEWTON_MAX_ITER):
-        r = equations(z)
-        if not np.all(np.isfinite(r)):
-            break
-        step = np.linalg.lstsq(jacobian(z), -r, rcond=None)[0]
-        z = z + step
-        if np.all(np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(z))):
-            break
-    return z
-
-
-def _solve_in_cell(penalty, target, target_jac, lo, hi, limiting):
-    """Every solution in the closed cell [lo, hi]: one Newton solve per
-    combination of the coordinates' options, started at the cell centre.
+def _solve_in_cell(penalty, target, target_jac, lo, hi, options, limiting):
+    """Every solution in the closed cell [lo, hi]: one Gauss-Newton solve
+    per combination of the coordinates' options, started at the cell centre.
 
     On the free coordinates the equations are target_i(x) = 2 a2 x_i + a1,
-    with Jacobian target_jac restricted to them minus diag(2 a2).  A
-    singular Jacobian (a continuum of roots) takes minimum-norm steps, so
-    the solve returns the centre's projection onto the continuum.
+    with Jacobian target_jac restricted to them minus diag(2 a2).  Steps are
+    minimum-norm, so a singular Jacobian (a continuum of roots) returns the
+    centre's projection onto the continuum.  The solve stops at a
+    non-finite residual, at a step below 4 eps (1 + |x|) on every free
+    coordinate, or after NEWTON_MAX_ITER steps.
     """
     found = []
     edge_slack = [4.0 * EPS * (1.0 + np.abs(e)) for e in (lo, hi)]
-    options = [_cell_options(penalty, a, b) for a, b in zip(lo, hi)]
     for combo in itertools.product(*options):
         free = [i for i, o in enumerate(combo) if isinstance(o, tuple)]
         x = np.array([0.5 * (a + b) if isinstance(o, tuple) else o
@@ -252,19 +225,14 @@ def _solve_in_cell(penalty, target, target_jac, lo, hi, limiting):
         if free:
             a2, a1 = (np.array([combo[i][k] for i in free]) for k in (2, 3))
             sub, curvature = np.ix_(free, free), np.diag(2.0 * a2)
-
-            def at(z):
-                y = x.copy()
-                y[free] = z
-                return y
-
-            def equations(z):
-                return target(at(z)[None, :])[0][free] - (2.0 * a2 * z + a1)
-
-            def jacobian(z):
-                return target_jac(at(z))[sub] - curvature
-
-            x[free] = _newton(equations, jacobian, x[free])
+            for _ in range(NEWTON_MAX_ITER):
+                r = target(x[None, :])[0][free] - (2.0 * a2 * x[free] + a1)
+                if not np.all(np.isfinite(r)):
+                    break
+                step = np.linalg.lstsq(target_jac(x)[sub] - curvature, -r, rcond=None)[0]
+                x[free] += step
+                if np.all(np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(x[free]))):
+                    break
         if not (np.all(lo - edge_slack[0] <= x) and np.all(x <= hi + edge_slack[1])):
             continue
         x = np.clip(x, lo, hi)
@@ -283,11 +251,11 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
     target maps an (N, n) array of points to an (N, n) array of required
     subgradient values, and target_jac one point to the target's (n, n)
     Jacobian.  A cell is a candidate when, on every axis, the target at its
-    centre lies within a Lipschitz margin of the hull of its options
-    (_option_hulls); in each candidate cell every combination of
-    per-coordinate pieces and breakpoints is solved (_solve_in_cell), and a
-    root is kept when it lies in the closed cell and passes the exact
-    residual.  Roots within two cell radii of a better one are dropped.
+    centre lies within a Lipschitz margin of the hull of its side's options
+    (_option_table); in each candidate cell every combination of those
+    options is solved (_solve_in_cell), and a root is kept when it lies in
+    the closed cell and passes the exact residual.  A root within
+    POINT_RADIUS of one with a smaller residual is the same point.
     """
     n = len(box_lo)
     # one edge array per axis, so neighbouring cells share their edge floats
@@ -295,12 +263,12 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
     half = [(hi - lo) / (2 * cells) for lo, hi in zip(box_lo, box_hi)]
     cell_radius = math.sqrt(sum(h * h for h in half))
     margin = lip_bound * cell_radius * 1.05 + 1e-12
-    hulls = [_option_hulls(penalty, e[:-1], e[1:], limiting) for e in edges]
+    tables = [_option_table(penalty, e[:-1], e[1:], limiting) for e in edges]
 
     shape = (cells,) * n
     T = target(_cartesian([0.5 * (e[:-1] + e[1:]) for e in edges])).reshape(shape + (n,))
     keep = np.ones(shape, dtype=bool)
-    for i, (lo_h, hi_h) in enumerate(hulls):
+    for i, (_options, _has, lo_h, hi_h) in enumerate(tables):
         along = tuple(cells if j == i else 1 for j in range(n))   # broadcast on axis i
         keep &= (T[..., i] + margin >= lo_h.reshape(along)) \
             & (T[..., i] - margin <= hi_h.reshape(along))
@@ -309,14 +277,16 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
     for cell in zip(*np.nonzero(keep)):
         lo = np.array([e[j] for e, j in zip(edges, cell)])
         hi = np.array([e[j + 1] for e, j in zip(edges, cell)])
-        found = _solve_in_cell(penalty, target, target_jac, lo, hi, limiting)
+        options = [[opts[k] for k in np.flatnonzero(has[j])]
+                   for (opts, has, _lo_h, _hi_h), j in zip(tables, cell)]
+        found = _solve_in_cell(penalty, target, target_jac, lo, hi, options, limiting)
         results += found
         discarded += not found
 
     results.sort(key=lambda t: (t[1], tuple(t[0])))
     points = []
     for x, _res in results:
-        if not any(np.linalg.norm(x - p) <= 2.0 * cell_radius for p in points):
+        if not any(np.linalg.norm(x - p) <= POINT_RADIUS for p in points):
             points.append(x)
     points.sort(key=tuple)
     warnings = []
@@ -379,7 +349,7 @@ def brute_force_stationary_set(prob, box, cells=400, limiting=False):
     """
     pts, warnings = _scan(prob, "S_cano", np.zeros(prob.n), box, cells, limiting)
     return StationarySetApprox(points=np.array(pts).reshape(-1, prob.n),
-                               radius=1e-6, method="oracle-grid", warnings=warnings)
+                               radius=POINT_RADIUS, method="oracle-grid", warnings=warnings)
 
 
 def brute_force_set_valued_solve(prob, map_kind, p, box, gamma=None, cells=400):

@@ -5,9 +5,9 @@ import pytest
 
 from calmkit import instances
 from calmkit.core import ProblemSpec, SolverConfig
-from calmkit.losses import (ExponentialLoss, LogisticLoss, QuadraticLoss, SigmoidNNLoss,
+from calmkit.losses import (Box, ExponentialLoss, LogisticLoss, QuadraticLoss, SigmoidNNLoss,
                             StructuredCompositeLoss)
-from calmkit.oracle import (OracleError, _targets, brute_force_prox,
+from calmkit.oracle import (OracleError, _membership_scan, _targets, brute_force_prox,
                             brute_force_scalar_min, brute_force_set_valued_solve,
                             brute_force_stationary_set)
 from calmkit.penalties import (BoxIndicator, L1Penalty, McpPenalty, NegAbsPenalty,
@@ -256,6 +256,27 @@ def test_every_returned_point_is_in_the_box_and_solves_its_inclusion(fam, cells)
     assert found > 0
 
 
+@pytest.mark.parametrize("cells", [7, 24])
+@pytest.mark.parametrize("limiting", [False, True], ids=["proximal", "limiting"])
+@pytest.mark.parametrize("fam", sorted(ORACLE_PENALTIES))
+def test_cell_filter_drops_no_cell_that_holds_a_point(fam, limiting, cells):
+    # an infinite Lipschitz margin keeps every cell, so the filter is sound
+    # exactly when its margin changes no returned point
+    rng = np.random.default_rng(cells + 100 * limiting
+                                + 1000 * sorted(ORACLE_PENALTIES).index(fam))
+    g = ORACLE_PENALTIES[fam]
+    for _ in range(6):
+        A = rng.normal(size=(2, 2))
+        loss = QuadraticLoss(0.5 * (A + A.T) + 0.5 * np.eye(2), rng.normal(scale=0.7, size=2))
+        lo, hi = rng.uniform(-3.5, -2.5, size=2), rng.uniform(2.5, 3.5, size=2)
+        target, target_jac = _targets(loss, "S_cano", np.zeros(2))
+        lip = loss.lipschitz_bound(Box(lo, hi)).value
+        filtered, _ = _membership_scan(g, target, target_jac, lo, hi, cells, limiting, lip)
+        every, _ = _membership_scan(g, target, target_jac, lo, hi, cells, limiting, math.inf)
+        assert len(filtered) == len(every)
+        assert all(np.array_equal(x, y) for x, y in zip(filtered, every))
+
+
 class _SquareMinusAbs(SeparablePenalty):
     """phi(t) = t^2 - |t|: a concave kink at 0 joining two curved pieces."""
 
@@ -373,3 +394,24 @@ def test_pg_iterates_solve_s_pg_at_their_own_perturbations(g):
             assert d <= 1e-8, (x.tolist(), cells, d)
             checked += 1
     assert checked >= 8
+
+
+@pytest.mark.parametrize("cells", [40, 41])
+@pytest.mark.parametrize("k", [7, 8])
+def test_solutions_closer_than_a_cell_are_kept_apart(k, cells):
+    # PG step k solves S_PG at its own perturbation, and so does a second
+    # point 0.116 away, less than two cell radii (0.138 at cells = 41)
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((6, 2))
+    b = rng.standard_normal(6)
+    x0 = 3.0 * rng.standard_normal(2)
+    prob = ProblemSpec(2, QuadraticLoss(C.T @ C / 6 + 0.5 * np.eye(2), -C.T @ b / 6),
+                       NegAbsPenalty(0.05))
+    L = prob.loss.lipschitz_bound().value
+    gamma = 0.9 / L
+    tr = pg_solve(prob, SolverConfig(gamma=gamma, max_iter=8, stop_tol=0.0, lipschitz_L=L), x0)
+    x, p = tr.points[k], tr.perturbations[k]
+    sols = brute_force_set_valued_solve(prob, "S_PG", p, (x - 2.0, x + 2.0),
+                                        gamma=gamma, cells=cells)
+    d = sorted(np.linalg.norm(s - x) for s in sols)
+    assert len(d) == 2 and d[0] <= 1e-12 and 0.1 < d[1] < 0.13, d
