@@ -307,7 +307,7 @@ def check_nnamcq(prob: ProblemSpec, x_bar, tol: float = 1e-8) -> CertificateRepo
     examined = suspect = 0
     for found, Z, res in _combinations(atoms, H, np.eye(n)):
         hits = np.flatnonzero(found)
-        near = res[hits] > 1e-9    # near-degenerate systems: keep enumerating
+        near = res[hits] > FEAS_TOL    # near-degenerate systems: keep enumerating
         if near.all():
             examined += found.size
             suspect += hits.size

@@ -11,15 +11,17 @@ a segment-interior point has two, along u and -u.  Each cone is built once,
 from its atom routine: tangent_atoms, limiting_normal_atoms and
 directional_limiting_normal_atoms list convex atoms, _uncovered drops every
 atom that lies inside another, and the cone is ConeUnion2.from_atoms of the
-list.  The regular normal cone is the polar of the half-piece directions.
+list.  The regular normal cone is the polar of the half-piece directions,
+read off their angular gaps: each cyclic gap a -> b of at least pi gives the
+arc [a + pi/2, b - pi/2], and no such gap gives {0}.  Every membership
+question (a vector in a cone, an atom in an atom, a cone in a cone) is one
+test, _arcs_within.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-10  # canonical-form comparison tolerance (radians)
@@ -107,23 +109,6 @@ class PolylineGraph:
                 if not any(math.hypot(q[0] - r[0], q[1] - r[1]) < 1e-12 for r in pts):
                     pts.append(q)
         return pts
-
-    def sample_points(self, center, radius, per_piece=40):
-        """Graph points within `radius` of `center` (used by test oracles)."""
-        out = []
-        for pc in self.pieces:
-            tc = pc.project_param(center)
-            dd = math.hypot(*pc.direction)
-            span = radius / dd
-            lo = max(pc.t0, tc - span)
-            hi = min(pc.t1, tc + span)
-            if lo > hi:
-                continue
-            for t in np.linspace(lo, hi, per_piece):
-                q = pc.point_at(float(t))
-                if math.hypot(q[0] - center[0], q[1] - center[1]) <= radius:
-                    out.append(q)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +259,12 @@ class ConeUnion2:
     def is_full(self) -> bool:
         return len(self.arcs) == 1 and self.arcs[0][1] - self.arcs[0][0] >= TWO_PI - ANGLE_TOL
 
-    def contains_angle(self, a: float, tol=ANGLE_TOL) -> bool:
-        a = a % TWO_PI
-        for s, e in self.arcs:
-            for shift in (0.0, TWO_PI, -TWO_PI):
-                if s - tol <= a + shift <= e + tol:
-                    return True
-        return False
-
     def contains_vector(self, v, tol=ANGLE_TOL) -> bool:
         n = math.hypot(v[0], v[1])
         if n <= 1e-300:
             return True
-        return self.contains_angle(_angle((v[0] / n, v[1] / n)), tol)
+        a = _angle((v[0] / n, v[1] / n))
+        return _arcs_within([(a, a)], self.arcs, tol)
 
     def union(self, other: "ConeUnion2") -> "ConeUnion2":
         return ConeUnion2(list(self.arcs) + list(other.arcs))
@@ -314,27 +292,15 @@ class ConeUnion2:
         if self.is_full:
             return [Atom("full")]
         atoms = []
-        deg = [a for a in self.arcs if a[1] - a[0] <= ANGLE_TOL]
-        # pair antipodal degenerate arcs into lines
-        used = set()
-        for i, (s, _) in enumerate(deg):
-            if i in used:
-                continue
-            mate = None
-            for j in range(i + 1, len(deg)):
-                if j in used:
-                    continue
-                d = abs((deg[j][0] - s) % TWO_PI - math.pi)
-                if d <= ANGLE_TOL:
-                    mate = j
-                    break
+        # pair each degenerate arc with its first antipodal mate into a line
+        deg = [s for s, e in self.arcs if e - s <= ANGLE_TOL]
+        while deg:
+            s = deg.pop(0)
+            mate = next((j for j, t in enumerate(deg)
+                         if abs((t - s) % TWO_PI - math.pi) <= ANGLE_TOL), None)
             if mate is not None:
-                used.add(i)
-                used.add(mate)
-                atoms.append(Atom("line", _from_angle(s)))
-            else:
-                used.add(i)
-                atoms.append(Atom("ray", _from_angle(s)))
+                deg.pop(mate)
+            atoms.append(Atom("ray" if mate is None else "line", _from_angle(s)))
         for s, e in self.arcs:
             w = e - s
             if w <= ANGLE_TOL:
@@ -363,29 +329,20 @@ class ConeUnion2:
 def polar_of_directions(dirs) -> ConeUnion2:
     """Polar cone {v : <v, d> <= 0 for all d} of a finite set of directions.
 
-    Intersection of closed half-circles; the result is a single convex cone
-    (possibly zero, a ray, a line, a sector or a half-plane).  Two opposite
-    directions u, -u (the half-pieces at a segment-interior point) give the
-    normal line of u exactly, not as the overlap of two half-circles.
+    Read off the angular gaps between the sorted directions: v is polar iff
+    every direction lies within the half-circle opposite v, so the polar is
+    nonzero only across a cyclic gap a -> b of at least pi, where it is the
+    arc [a + pi/2, b - pi/2] (a single point when the gap is pi).  With no
+    such gap the polar is {0}; one direction gives a half-plane, and two
+    opposite directions leave two gaps of pi, whose points form the normal
+    line.
     """
     if not dirs:
         return ConeUnion2.full()
-    if len(dirs) == 2 and dirs[1] == (-dirs[0][0], -dirs[0][1]):
-        return ConeUnion2.line((-dirs[0][1], dirs[0][0]))
-    arcs = [(0.0, TWO_PI)]
-    for d in dirs:
-        a = _angle(_unit(d))
-        lo, hi = a + math.pi / 2.0, a + 3.0 * math.pi / 2.0
-        new_arcs = []
-        for s, e in arcs:
-            for shift in (-TWO_PI, 0.0, TWO_PI):
-                s2, e2 = max(s, lo + shift), min(e, hi + shift)
-                if s2 <= e2 + ANGLE_TOL:
-                    new_arcs.append((s2, max(s2, e2)))
-        arcs = new_arcs
-        if not arcs:
-            return ConeUnion2.zero()
-    return ConeUnion2(arcs)
+    angles = sorted(_angle(_unit(d)) for d in dirs)
+    return ConeUnion2([(a + math.pi / 2.0, max(a, b - math.pi) + math.pi / 2.0)
+                       for a, b in zip(angles, angles[1:] + [angles[0] + TWO_PI])
+                       if b - a >= math.pi - ANGLE_TOL])
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +452,7 @@ def limiting_normal_atoms(G: PolylineGraph, p, tol=1e-10):
     piece and the regular cone, less the atoms that another one covers."""
     cl = classify_point(G, p, tol)
     lines = [_normal_line(pc) for pc in dict.fromkeys(cl.pieces)]
-    regular = polar_of_directions(cl.out_directions)
-    if any(_arcs_within(regular.arcs, _atom_arcs(a), 1e-12) for a in lines):
-        return _uncovered(lines)   # inside one line, every regular atom is covered
-    return _uncovered(lines + regular.to_atoms())
+    return _uncovered(lines + polar_of_directions(cl.out_directions).to_atoms())
 
 
 def limiting_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:

@@ -284,11 +284,12 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
         discarded += not found
 
     results.sort(key=lambda t: (t[1], tuple(t[0])))
-    points = []
-    for x, _res in results:
-        if not any(np.linalg.norm(x - p) <= POINT_RADIUS for p in points):
-            points.append(x)
-    points.sort(key=tuple)
+    X = np.array([x for x, _res in results]).reshape(-1, n)
+    kept = np.ones(len(X), dtype=bool)
+    for i in range(len(X)):   # each kept root knocks out the later ones it holds
+        if kept[i]:
+            kept[i + 1:] &= np.linalg.norm(X[i + 1:] - X[i], axis=1) > POINT_RADIUS
+    points = sorted(X[kept], key=tuple)
     warnings = []
     if discarded:
         warnings.append("%d candidate cells discarded (no solution in the cell "

@@ -1,9 +1,12 @@
 """Definition-based sampling oracle for planar cones on polyline graphs.
 
-Independent of the analytic cone calculus: cones are recovered by sampling
-graph points at shrinking radii, clustering difference directions, and
-intersecting half-circle arcs for polars.  Results are plain sorted arc
-lists compared against ConeUnion2.arcs.
+Independent of the analytic cone calculus: the oracle runs no calmkit code.
+It reads a graph only through each piece's anchor, direction and parameter
+range, samples graph points at shrinking radii with its own arithmetic, and
+clusters the difference directions.  Its polar intersects the half-circles
+opposite the directions one by one, a different method from calmkit's, which
+reads the polar off the angular gaps between the directions.  Results are
+plain sorted arc lists compared against ConeUnion2.arcs.
 """
 
 import math
@@ -27,9 +30,30 @@ def _cluster_angles(angles, tol=1e-7):
     return out
 
 
+def sample_points(G, center, radius, per_piece):
+    """Graph points within radius of center: per_piece evenly spaced
+    parameters on the stretch of each piece that the disc can reach."""
+    out = []
+    for pc in G.pieces:
+        (x0, y0), (dx, dy) = pc.anchor, pc.direction
+        tc = ((center[0] - x0) * dx + (center[1] - y0) * dy) / (dx * dx + dy * dy)
+        tc = min(max(tc, pc.t0), pc.t1)
+        span = radius / math.hypot(dx, dy)
+        lo, hi = max(pc.t0, tc - span), min(pc.t1, tc + span)
+        if lo > hi:
+            continue
+        step = (hi - lo) / (per_piece - 1)
+        for k in range(per_piece):
+            t = hi if k == per_piece - 1 else lo + k * step
+            q = (x0 + t * dx, y0 + t * dy)
+            if math.hypot(q[0] - center[0], q[1] - center[1]) <= radius:
+                out.append(q)
+    return out
+
+
 def sample_tangent_directions(G, p, scale, per_piece=200):
     dirs = []
-    for q in G.sample_points(p, scale, per_piece=per_piece):
+    for q in sample_points(G, p, scale, per_piece):
         d = (q[0] - p[0], q[1] - p[1])
         nd = math.hypot(*d)
         if nd > 1e-12 * (1.0 + scale):
@@ -51,10 +75,8 @@ def tangent_arcs(G, p):
 
 
 def polar_arcs(dir_angles):
-    """Polar of a set of ray directions, via half-circle arc intersection.
-
-    Independent reimplementation of planar polarity for the oracle side.
-    """
+    """Polar of a set of ray directions: the intersection of the closed
+    half-circles [a + pi/2, a + 3 pi/2] opposite each direction a."""
     if not dir_angles:
         return [(0.0, TWO_PI)]
     arcs = [(0.0, TWO_PI)]
@@ -110,7 +132,7 @@ def _merge_arcs(arcs, tol=1e-9):
 def limiting_arcs(G, p, scale=1e-4):
     """Union of sampled regular cones over graph points near p, plus at p."""
     arcs = list(regular_arcs(G, p))
-    for q in G.sample_points(p, scale, per_piece=60):
+    for q in sample_points(G, p, scale, 60):
         if math.hypot(q[0] - p[0], q[1] - p[1]) < 1e-12:
             continue
         arcs.extend(regular_arcs(G, q, scale=min(1e-7, scale * 1e-3)))
@@ -126,7 +148,7 @@ def directional_arcs(G, p, d, scale=1e-5, angle_window=1e-3):
     arcs = []
     found = False
     for s in (scale, scale * 0.1):
-        for q in G.sample_points(p, 1.5 * s, per_piece=400):
+        for q in sample_points(G, p, 1.5 * s, 400):
             dq = (q[0] - p[0], q[1] - p[1])
             nq = math.hypot(*dq)
             if nq < 0.5 * s or nq > 1.5 * s:

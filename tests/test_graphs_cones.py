@@ -201,6 +201,40 @@ def test_polar_of_opposite_rays_is_perpendicular_line():
     assert c.equals(ConeUnion2.line((0.0, 1.0)))
 
 
+def test_polar_matches_the_oracle_on_random_direction_sets():
+    # off any graph: single directions, exact opposite pairs, repeats and
+    # sets that span more than a half-plane.  A gap within 1e-6 of pi between
+    # directions that are not exact opposites is skipped: the oracle decides
+    # it at 1e-12 and calmkit at ANGLE_TOL = 1e-10.
+    rng = np.random.default_rng(25)
+    seen = {"single": 0, "pair": 0, "repeat": 0, "zero": 0, "checked": 0}
+    for _ in range(500):
+        dirs = []
+        for _ in range(rng.integers(1, 6)):
+            r = rng.random()
+            if dirs and r < 0.2:
+                u = dirs[rng.integers(len(dirs))]
+                dirs.append((-u[0], -u[1]))
+                seen["pair"] += 1
+            elif dirs and r < 0.35:
+                dirs.append(dirs[rng.integers(len(dirs))])
+                seen["repeat"] += 1
+            else:
+                t = rng.uniform(0.0, 2.0 * math.pi)
+                dirs.append((math.cos(t), math.sin(t)))
+        ring = sorted((oracle._angle_of(d), d) for d in dirs)
+        gaps = zip(ring, ring[1:] + [(ring[0][0] + 2.0 * math.pi, ring[0][1])])
+        if any(abs(b - a - math.pi) <= 1e-6 and v != (-u[0], -u[1])
+               for (a, u), (b, v) in gaps):
+            continue
+        cone = polar_of_directions(dirs)
+        assert oracle.arcs_match(oracle.polar_arcs([a for a, _ in ring]), cone), (dirs, cone)
+        seen["single"] += len(dirs) == 1
+        seen["zero"] += cone.is_zero
+        seen["checked"] += 1
+    assert seen["checked"] >= 490 and min(seen.values()) >= 30, seen
+
+
 def test_cone_json_atoms():
     c = limiting_normal_cone(L1, (0.0, 1.0))
     kinds = sorted(a["kind"] for a in c.to_json())

@@ -40,3 +40,15 @@ def test_oracle_imports_only_core_losses_and_the_tie_tolerance():
 
 def test_cone_oracle_imports_no_calmkit_module():
     assert _calmkit_imports(TESTS / "cone_oracle.py") == []
+
+
+def test_cone_oracle_calls_only_math_functions_and_list_methods():
+    # a graph reaches the oracle as data: it reads piece fields, and any
+    # method call on a calmkit object would run the code under test
+    list_methods = {m for m in dir(list) if not m.startswith("_")}
+    calls = [node.func for node in ast.walk(ast.parse((TESTS / "cone_oracle.py").read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert calls
+    for f in calls:
+        is_math = isinstance(f.value, ast.Name) and f.value.id == "math"
+        assert is_math or f.attr in list_methods, ast.unparse(f)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from calmkit import instances
+from calmkit import instances, oracle
 from calmkit.core import ProblemSpec, SolverConfig
 from calmkit.losses import (Box, ExponentialLoss, LogisticLoss, QuadraticLoss, SigmoidNNLoss,
                             StructuredCompositeLoss)
@@ -415,3 +415,28 @@ def test_solutions_closer_than_a_cell_are_kept_apart(k, cells):
                                         gamma=gamma, cells=cells)
     d = sorted(np.linalg.norm(s - x) for s in sols)
     assert len(d) == 2 and d[0] <= 1e-12 and 0.1 < d[1] < 0.13, d
+
+
+@pytest.mark.parametrize("g,count", [(ZeroPenalty(), 67), (L1Penalty(0.5), 9)],
+                         ids=["zero", "l1"])
+def test_root_merge_keeps_what_the_pairwise_loop_kept(g, count, monkeypatch):
+    # on a continuum every kept cell holds its own root, so the merge sees
+    # many roots; the reference compares each root with every point kept
+    roots, solve = [], oracle._solve_in_cell
+
+    def recording(*args):
+        found = solve(*args)
+        roots.extend(found)
+        return found
+
+    monkeypatch.setattr(oracle, "_solve_in_cell", recording)
+    prob = ProblemSpec(2, QuadraticLoss(np.ones((2, 2)), -np.ones(2)), g)
+    S = brute_force_stationary_set(prob, (np.full(2, -3.0), np.full(2, 3.0)), cells=40)
+    roots.sort(key=lambda t: (t[1], tuple(t[0])))
+    want = []
+    for x, _res in roots:
+        if not any(np.linalg.norm(x - p) <= oracle.POINT_RADIUS for p in want):
+            want.append(x)
+    want.sort(key=tuple)
+    assert len(roots) >= len(want) == count
+    assert np.array_equal(S.points, np.array(want))
