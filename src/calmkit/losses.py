@@ -5,9 +5,10 @@ applied to Ax plus a linear term), logistic, exponential, and a one-hidden-
 layer sigmoid network.  The exponential and network losses have no global
 gradient-Lipschitz constant; their bounds are scoped to a user box.
 
-Each family writes f and grad f once, batched over rows (value_many,
-gradient_many); single-point value and gradient are the one-row case.  Only
-the network has no batched formula and loops over rows.  Logistic and
+Each family writes f, grad f and the Hessian once, batched over rows
+(value_many, gradient_many, hessian_many); single-point value, gradient and
+hessian are the one-row case.  Only the network has no batched formula and
+loops over rows; it has no Hessian.  Logistic and
 exponential are margin losses, f(x) = sum_i l((Mx)_i): each gives only its
 l, l', l'' and Lipschitz bound.
 """
@@ -116,6 +117,10 @@ class SmoothLoss:
         raise NotImplementedError
 
     def hessian(self, x) -> np.ndarray:
+        return self.hessian_many(self._check(x)[None])[0]
+
+    def hessian_many(self, X) -> np.ndarray:
+        """The (N, n, n) Hessians at the rows of X."""
         raise LossError("Hessian not supported for family %r" % self.family)
 
     def lipschitz_bound(self, box: Box | None = None) -> LipschitzBound:
@@ -148,9 +153,8 @@ class QuadraticLoss(SmoothLoss):
         y = self.Q @ x
         return float(0.5 * (y @ x) + self.q @ x), y + self.q
 
-    def hessian(self, x):
-        self._check(x)
-        return self.Q.copy()
+    def hessian_many(self, X):
+        return np.repeat(self.Q[None], len(np.atleast_2d(X)), axis=0)
 
     def value_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -186,9 +190,8 @@ class StructuredCompositeLoss(SmoothLoss):
             raise LossError("h must be strongly convex (H positive definite)")
         self.n = n
 
-    def hessian(self, x):
-        self._check(x)
-        return self.A.T @ self.H @ self.A
+    def hessian_many(self, X):
+        return np.repeat((self.A.T @ self.H @ self.A)[None], len(np.atleast_2d(X)), axis=0)
 
     def value_many(self, X):
         Z = np.atleast_2d(X) @ self.A.T
@@ -236,8 +239,12 @@ class MarginLoss(SmoothLoss):
         return self.dell(np.atleast_2d(X) @ self.M.T) @ self.M
 
     def hessian(self, x):
-        w = self.ddell(self.M @ self._check(x))
-        return (self.M * w[:, None]).T @ self.M
+        return self.hessian_many(self._check(x)[None])[0]
+
+    def hessian_many(self, X):
+        # each row's (M * w[:, None]).T @ M, one gemm per row on the same strides
+        W = self.ddell(np.atleast_2d(X) @ self.M.T)
+        return np.swapaxes(self.M * W[:, :, None], 1, 2) @ self.M
 
     def to_json(self):
         return {"family": self.family, "C": self.C.tolist(), "d": self.d.tolist()}

@@ -16,8 +16,11 @@ point.
 
 Each combination is solved by Gauss-Newton from the cell centre, with the
 target's own Jacobian: minus the loss's Hessian (central differences of the
-target for a loss without one) less the pieces' curvature.  Steps are
-minimum-norm, so an affine system is solved in one step and a continuum of
+target for a loss without one) less the pieces' curvature.  A scan solves
+all of its kept cells' combinations as the rows of one stacked loop: each
+step evaluates the target and the Jacobian once on every row still running
+and takes a stacked minimum-norm step, and each row stops on its own rule.
+Minimum-norm steps solve an affine system in one step, and a continuum of
 roots (a singular Jacobian) yields the projection of the centre onto it.
 The Jacobian only steers the solve; the residual alone accepts a root.
 
@@ -29,7 +32,6 @@ check.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -176,72 +178,91 @@ def _cartesian(axes):
 def _option_table(penalty, left, right, limiting):
     """One axis's option table over its cell sides [left, right].
 
-    The options are the pieces (plo, phi, a2, a1), then the breakpoints.  A
-    piece whose open interval meets a side makes the inclusion the equation
-    target_i(x) = 2 a2 x_i + a1 there; a breakpoint t on the closed side
-    fixes x_i = t and leaves membership to the exact residual.  Returns the
-    options, the (cells, options) mask of the ones each side has, and each
-    side's hull of its options' values (a piece's slope at the ends of its
-    overlap with the side, the subdifferential at a breakpoint), empty as
-    (+inf, -inf).
+    The options are rows (lo, hi, a2, a1): the pieces, then each breakpoint
+    t as (t, t, 0, 0).  A piece (lo < hi) whose open interval meets a side
+    makes the inclusion the equation target_i(x) = 2 a2 x_i + a1 there; a
+    breakpoint on the closed side fixes x_i = t and leaves membership to the
+    exact residual.  Returns the options, the (cells, options) mask of the
+    ones each side has, and each side's hull of its options' values (a
+    piece's slope at the ends of its overlap with the side, the
+    subdifferential at a breakpoint), empty as (+inf, -inf).
     """
-    pieces = [piece[:4] for piece in penalty.pieces]
-    bps = penalty.breakpoints()
-    plo, phi, a2, a1 = np.array(pieces).T
-    t = np.array(bps, dtype=float)
+    plo, phi, a2, a1 = np.array([piece[:4] for piece in penalty.pieces]).T
+    t = np.array(penalty.breakpoints(), dtype=float)
+    options = np.vstack([np.column_stack([plo, phi, a2, a1]),
+                         np.column_stack([t, t, 0.0 * t, 0.0 * t])])
     L, R = left[:, None], right[:, None]
     has = np.hstack([(plo < R) & (phi > L), (L <= t) & (t <= R)])
     ends = [2.0 * a2 * np.maximum(plo, L) + a1, 2.0 * a2 * np.minimum(phi, R) + a1]
-    bl, bh = (np.broadcast_to(b, (len(left), len(bps)))
+    bl, bh = (np.broadcast_to(b, (len(left), len(t)))
               for b in penalty.subdiff_bounds_array(t, limiting))
     lo_h = np.where(has, np.hstack([np.minimum(*ends), bl]), math.inf).min(axis=1)
     hi_h = np.where(has, np.hstack([np.maximum(*ends), bh]), -math.inf).max(axis=1)
-    return pieces + bps, has, lo_h, hi_h
+    return options, has, lo_h, hi_h
 
 
 def _strictly_inside(t, lo, hi):
     """t lies in (lo, hi), farther than 1e-12 (1 + |end|) from each finite end."""
-    return ((math.isinf(lo) or t - lo > 1e-12 * (1.0 + abs(lo)))
-            and (math.isinf(hi) or hi - t > 1e-12 * (1.0 + abs(hi))))
+    return ((np.isinf(lo) | (t - lo > 1e-12 * (1.0 + np.abs(lo))))
+            & (np.isinf(hi) | (hi - t > 1e-12 * (1.0 + np.abs(hi)))))
 
 
-def _solve_in_cell(penalty, target, target_jac, lo, hi, options, limiting):
-    """Every solution in the closed cell [lo, hi]: one Gauss-Newton solve
-    per combination of the coordinates' options, started at the cell centre.
+def _cell_roots(penalty, target, target_jac, lo, hi, options, has, limiting):
+    """Every accepted root of the cells [lo, hi] (rows of (C, n) arrays):
+    one Gauss-Newton solve per combination of each cell's options, all
+    combinations of all cells stacked as the rows of one solve.
 
-    On the free coordinates the equations are target_i(x) = 2 a2 x_i + a1,
-    with Jacobian target_jac restricted to them minus diag(2 a2).  Steps are
-    minimum-norm, so a singular Jacobian (a continuum of roots) returns the
-    centre's projection onto the continuum.  The solve stops at a
-    non-finite residual, at a step below 4 eps (1 + |x|) on every free
-    coordinate, or after NEWTON_MAX_ITER steps.
+    has holds one (C, options) mask per axis.  A row starts at the cell
+    centre on its free coordinates (pieces) and at the breakpoint on its
+    fixed ones.  On the free coordinates the equations are
+    target_i(x) = 2 a2 x_i + a1, with Jacobian target_jac restricted to them
+    minus diag(2 a2).  Steps are minimum-norm with lstsq's cutoff, eps times
+    the free count, so a singular Jacobian (a continuum of roots) returns
+    the centre's projection onto the continuum.  A row stops at a
+    non-finite residual, at a step of at most 4 eps (1 + |x|) on every free
+    coordinate, or after NEWTON_MAX_ITER steps.  A root within that slack
+    of its cell is clipped onto it; it counts when it lies strictly inside
+    its pieces and its exact residual (subdiff_distances) is at most
+    ACCEPT_TOL.  Returns the roots, their residuals and their cells' rows.
     """
-    found = []
-    edge_slack = [4.0 * EPS * (1.0 + np.abs(e)) for e in (lo, hi)]
-    for combo in itertools.product(*options):
-        free = [i for i, o in enumerate(combo) if isinstance(o, tuple)]
-        x = np.array([0.5 * (a + b) if isinstance(o, tuple) else o
-                      for a, b, o in zip(lo, hi, combo)])
-        if free:
-            a2, a1 = (np.array([combo[i][k] for i in free]) for k in (2, 3))
-            sub, curvature = np.ix_(free, free), np.diag(2.0 * a2)
-            for _ in range(NEWTON_MAX_ITER):
-                r = target(x[None, :])[0][free] - (2.0 * a2 * x[free] + a1)
-                if not np.all(np.isfinite(r)):
-                    break
-                step = np.linalg.lstsq(target_jac(x)[sub] - curvature, -r, rcond=None)[0]
-                x[free] += step
-                if np.all(np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(x[free]))):
-                    break
-        if not (np.all(lo - edge_slack[0] <= x) and np.all(x <= hi + edge_slack[1])):
-            continue
-        x = np.clip(x, lo, hi)
-        if not all(_strictly_inside(x[i], *combo[i][:2]) for i in free):
-            continue   # a root at a piece end is its breakpoint option's to accept
-        res = max(penalty.subdiff_distances(x, target(x[None, :])[0], limiting))
-        if res <= ACCEPT_TOL:
-            found.append((x, res))
-    return found
+    n = lo.shape[1]
+    combos = np.indices((len(options),) * n).reshape(n, -1).T   # itertools.product order
+    valid = has[0][:, combos[:, 0]]   # the cell side has every option of the combination
+    for i in range(1, n):
+        valid = valid & has[i][:, combos[:, i]]
+    cell, combo = np.nonzero(valid)
+    plo, phi, a2, a1 = np.moveaxis(options[combos[combo]], -1, 0)
+    lo, hi = lo[cell], hi[cell]
+    free = plo < phi
+    X = np.where(free, 0.5 * (lo + hi), plo)
+    rcond = np.where(free, EPS, 0.0).sum(axis=1)   # eps per free coordinate
+    diag = np.arange(n)
+    act = np.flatnonzero(free.any(axis=1))
+    for _ in range(NEWTON_MAX_ITER):
+        if not len(act):
+            break
+        x, f = X[act], free[act]
+        r = np.where(f, target(x) - (2.0 * a2[act] * x + a1[act]), 0.0)
+        finite = np.isfinite(r).all(axis=1)
+        act, x, f, r = act[finite], x[finite], f[finite], r[finite]
+        if not len(act):
+            break
+        J = target_jac(x)
+        J[:, diag, diag] -= 2.0 * a2[act]
+        J = np.where(f[:, :, None] & f[:, None, :], J, 0.0)
+        step = np.where(f, -(np.linalg.pinv(J, rcond[act]) @ r[:, :, None])[:, :, 0], 0.0)
+        X[act] = x = np.where(f, x + step, x)
+        act = act[~np.all(np.abs(step) <= 4.0 * EPS * (1.0 + np.abs(x)), axis=1)]
+    inside = np.flatnonzero(np.all((lo - 4.0 * EPS * (1.0 + np.abs(lo)) <= X)
+                                   & (X <= hi + 4.0 * EPS * (1.0 + np.abs(hi))), axis=1))
+    X = np.clip(X[inside], lo[inside], hi[inside])
+    # a root at a piece end is its breakpoint option's to accept
+    ok = np.all(~free[inside] | _strictly_inside(X, plo[inside], phi[inside]), axis=1)
+    X, cell = X[ok], cell[inside[ok]]
+    res = (penalty.subdiff_distances(X, target(X), limiting).max(axis=1) if len(X)
+           else np.zeros(0))
+    accepted = res <= ACCEPT_TOL
+    return X[accepted], res[accepted], cell[accepted]
 
 
 def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limiting,
@@ -249,12 +270,12 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
     """All x in the box with target_i(x) in subdiff(g_i)(x_i) per coordinate.
 
     target maps an (N, n) array of points to an (N, n) array of required
-    subgradient values, and target_jac one point to the target's (n, n)
-    Jacobian.  A cell is a candidate when, on every axis, the target at its
-    centre lies within a Lipschitz margin of the hull of its side's options
-    (_option_table); in each candidate cell every combination of those
-    options is solved (_solve_in_cell), and a root is kept when it lies in
-    the closed cell and passes the exact residual.  A root within
+    subgradient values, and target_jac to the (N, n, n) Jacobians there.  A
+    cell is a candidate when, on every axis, the target at its centre lies
+    within a Lipschitz margin of the hull of its side's options
+    (_option_table); every combination of the candidate cells' options is
+    solved in one stacked solve (_cell_roots), and a root is kept when it
+    lies in the closed cell and passes the exact residual.  A root within
     POINT_RADIUS of one with a smaller residual is the same point.
     """
     n = len(box_lo)
@@ -273,23 +294,21 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
         keep &= (T[..., i] + margin >= lo_h.reshape(along)) \
             & (T[..., i] - margin <= hi_h.reshape(along))
 
-    results, discarded = [], 0
-    for cell in zip(*np.nonzero(keep)):
-        lo = np.array([e[j] for e, j in zip(edges, cell)])
-        hi = np.array([e[j + 1] for e, j in zip(edges, cell)])
-        options = [[opts[k] for k in np.flatnonzero(has[j])]
-                   for (opts, has, _lo_h, _hi_h), j in zip(tables, cell)]
-        found = _solve_in_cell(penalty, target, target_jac, lo, hi, options, limiting)
-        results += found
-        discarded += not found
+    kept = np.stack(np.nonzero(keep), axis=1)
+    lo, hi = (np.stack([e[kept[:, i] + k] for i, e in enumerate(edges)], axis=1)
+              for k in (0, 1))
+    has = [table[1][kept[:, i]] for i, table in enumerate(tables)]
+    X, res, owner = _cell_roots(penalty, target, target_jac, lo, hi, tables[0][0], has,
+                                limiting)
+    discarded = len(kept) - len(set(owner.tolist()))
 
-    results.sort(key=lambda t: (t[1], tuple(t[0])))
-    X = np.array([x for x, _res in results]).reshape(-1, n)
-    kept = np.ones(len(X), dtype=bool)
+    keys = list(zip(res.tolist(), X.tolist()))   # by residual, then coordinates
+    X = X[sorted(range(len(keys)), key=keys.__getitem__)]
+    merged = np.ones(len(X), dtype=bool)
     for i in range(len(X)):   # each kept root knocks out the later ones it holds
-        if kept[i]:
-            kept[i + 1:] &= np.linalg.norm(X[i + 1:] - X[i], axis=1) > POINT_RADIUS
-    points = sorted(X[kept], key=tuple)
+        if merged[i]:
+            merged[i + 1:] &= np.linalg.norm(X[i + 1:] - X[i], axis=1) > POINT_RADIUS
+    points = sorted(X[merged], key=tuple)
     warnings = []
     if discarded:
         warnings.append("%d candidate cells discarded (no solution in the cell "
@@ -303,26 +322,28 @@ def _membership_scan(penalty, target, target_jac, box_lo, box_hi, cells, limitin
 
 def _targets(loss, map_kind, p, gamma=None):
     """(target, target_jac) of S_cano(p) or S_PG(p): the batched map of
-    points to required subgradients, and its Jacobian at one point, from
-    the loss's Hessian or, without one, central differences of the target."""
+    points to required subgradients, and its batched Jacobian, from the
+    loss's Hessian or, without one, central differences of the target (one
+    target call on 2n rows per point)."""
     if map_kind == "S_cano":
         target = lambda X: p[None, :] - loss.gradient_many(X)
-        hessian = loss.hessian
+        hessian_many = loss.hessian_many
     elif map_kind == "S_PG":
         if gamma is None or not gamma > 0:
             raise ConfigError("S_PG needs gamma > 0")
         target = lambda X: (p / gamma)[None, :] - loss.gradient_many(X + p[None, :])
-        hessian = lambda y: loss.hessian(y + p)
+        hessian_many = lambda Y: loss.hessian_many(Y + p[None, :])
     else:
         raise ConfigError("unknown map kind %r" % map_kind)
     if loss.twice_differentiable:
-        return target, lambda y: -hessian(y)
+        return target, lambda Y: -hessian_many(Y)
     n = len(p)
     steps = FD_STEP * np.eye(n)
 
-    def target_jac(y):
-        T = target(np.concatenate([y + steps, y - steps]))
-        return (T[:n] - T[n:]).T / (2.0 * FD_STEP)
+    def target_jac(Y):
+        shifted = Y[:, None, :] + np.stack([steps, -steps])[:, None]   # (2, N, n, n)
+        T = target(shifted.reshape(-1, n)).reshape(shifted.shape)
+        return np.swapaxes(T[0] - T[1], 1, 2) / (2.0 * FD_STEP)
 
     return target, target_jac
 

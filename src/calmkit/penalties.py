@@ -579,7 +579,11 @@ class BoxIndicator(SeparablePenalty):
 
 
 class GroupLasso(Penalty):
-    """g(x) = sum_J w_J ||x_J||_2 over a disjoint partition of coordinates."""
+    """g(x) = sum_J w_J ||x_J||_2 over a disjoint partition of coordinates.
+
+    Each per-group norm is one np.add.reduceat over the coordinates taken
+    in group order (_order), group J starting at _starts[J].
+    """
 
     family = "group-lasso"
     separable = False
@@ -592,30 +596,38 @@ class GroupLasso(Penalty):
             raise PenaltyError("one weight per group required")
         if any(w < 0 for w in weights):
             raise PenaltyError("weights must be nonnegative")
+        if not (groups and all(groups)):
+            raise PenaltyError("at least one group required, and groups must be nonempty")
         flat = sorted(i for g in groups for i in g)
         if flat != list(range(len(flat))):
             raise PenaltyError("groups must partition 0..n-1 disjointly")
         self.groups = tuple(groups)
         self.weights = tuple(weights)
+        sizes = [len(g) for g in groups]
+        self._order = np.array([i for g in groups for i in g], dtype=int)
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._owner = np.repeat(np.arange(len(groups)), sizes)   # group of each _order entry
+        self._w = np.array(weights)
+
+    def _norms(self, Y):
+        """Per-group 2-norms of the rows of Y, whose columns are in group order."""
+        return np.sqrt(np.add.reduceat(Y * Y, self._starts, axis=-1))
 
     def value(self, x) -> float:
         return float(self.value_many(x)[0])
 
     def value_many(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        tot = np.zeros(X.shape[0])
-        for g, w in zip(self.groups, self.weights):
-            tot += w * np.linalg.norm(X[:, list(g)], axis=1)
-        return tot
+        return (self._w * self._norms(X[:, self._order])).sum(axis=1)
 
     def prox_vector(self, u, gamma):
         u = np.asarray(u, dtype=float)
-        out = np.array(u, dtype=float)
-        for g, w in zip(self.groups, self.weights):
-            idx = list(g)
-            nrm = np.linalg.norm(u[idx])
-            scale = 0.0 if nrm <= gamma * w else 1.0 - gamma * w / nrm
-            out[idx] = scale * u[idx]
+        uo = u[self._order]
+        nrm = self._norms(uo)
+        shrink = nrm <= gamma * self._w
+        scale = np.where(shrink, 0.0, 1.0 - gamma * self._w / np.where(shrink, 1.0, nrm))
+        out = np.empty_like(u)
+        out[self._order] = scale[self._owner] * uo
         return out
 
     def prox_coordinate_sets(self, u, gamma):
@@ -630,18 +642,13 @@ class GroupLasso(Penalty):
 
     def subdiff_distances(self, x, v, limiting=False) -> np.ndarray:
         """Per group, dist(v_J, d(w_J ||.||)(x_J)); convex, so limiting is proximal."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = []
-        for g, w in zip(self.groups, self.weights):
-            idx = list(g)
-            xg, vg = x[idx], v[idx]
-            nrm = np.linalg.norm(xg)
-            if nrm > 0:
-                out.append(np.linalg.norm(vg - w * xg / nrm))
-            else:
-                out.append(max(np.linalg.norm(vg) - w, 0.0))
-        return np.array(out)
+        xo = np.asarray(x, dtype=float)[self._order]
+        vo = np.asarray(v, dtype=float)[self._order]
+        nrm = self._norms(xo)
+        nonzero = nrm > 0
+        w, safe = self._w[self._owner], np.where(nonzero, nrm, 1.0)[self._owner]
+        return np.where(nonzero, self._norms(vo - w * xo / safe),
+                        np.maximum(self._norms(vo) - self._w, 0.0))
 
     def to_json(self):
         return {"family": "group-lasso",

@@ -240,3 +240,33 @@ def test_network_sigma_saturates_without_overflow_warning():
     s = SigmoidNNLoss._sigma(z)
     assert s[0] == 0.0 and s[2] == 0.5 and s[3] == 1.0
     assert 0.0 < s[1] < 1e-300
+
+
+def test_hessian_is_the_one_row_batch_of_hessian_many():
+    # calmness reads hessian(x_bar): the one-row batch must keep the
+    # one-point formulas' bits; rows of a larger batch go through a gemm on
+    # the margins and may differ from them in the last bits
+    rng = np.random.default_rng(26)
+    Q = rng.normal(size=(4, 4))
+    C = rng.normal(size=(7, 4))
+    d = rng.choice([-1.0, 1.0], size=7)
+    A = rng.normal(size=(5, 4))
+    Hm = np.diag(rng.uniform(0.5, 2.0, size=5))
+    one_point = [
+        (QuadraticLoss(Q + Q.T, rng.normal(size=4)), lambda loss, x: loss.Q.copy()),
+        (StructuredCompositeLoss(A, rng.normal(size=4), Hm, rng.normal(size=5)),
+         lambda loss, x: loss.A.T @ loss.H @ loss.A),
+    ] + [(cls(C, d), lambda loss, x: (loss.M * loss.ddell(loss.M @ x)[:, None]).T @ loss.M)
+         for cls in (LogisticLoss, ExponentialLoss)]
+    for loss, formula in one_point:
+        X = rng.normal(scale=0.7, size=(300, loss.n))
+        batch = loss.hessian_many(X)
+        assert batch.shape == (300, loss.n, loss.n)
+        for x, Hb in zip(X, batch):
+            H = loss.hessian(x)
+            assert H.tobytes() == loss.hessian_many(x[None])[0].tobytes()
+            assert H.tobytes() == formula(loss, x).tobytes()
+            assert np.max(np.abs(Hb - H)) <= 1e-14 * np.max(np.abs(H))
+    nn = SigmoidNNLoss(1, [[1.0]], [0.0])
+    with pytest.raises(LossError):
+        nn.hessian_many(np.zeros((3, 2)))

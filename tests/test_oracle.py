@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -320,7 +321,7 @@ def test_target_jacobian_matches_target_differences(name, map_kind):
     target, target_jac = _targets(loss, map_kind, p, gamma=0.4)
     h = 1e-5
     for y in rng.uniform(-1.5, 1.5, size=(4, 2)):
-        J = target_jac(y)
+        J = target_jac(y[None])[0]
         fd = np.stack([(target((y + h * e)[None])[0] - target((y - h * e)[None])[0]) / (2 * h)
                        for e in np.eye(2)], axis=1)
         assert np.max(np.abs(J - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd)))
@@ -422,14 +423,14 @@ def test_solutions_closer_than_a_cell_are_kept_apart(k, cells):
 def test_root_merge_keeps_what_the_pairwise_loop_kept(g, count, monkeypatch):
     # on a continuum every kept cell holds its own root, so the merge sees
     # many roots; the reference compares each root with every point kept
-    roots, solve = [], oracle._solve_in_cell
+    roots, solve = [], oracle._cell_roots
 
     def recording(*args):
         found = solve(*args)
-        roots.extend(found)
+        roots.extend(zip(*found[:2]))
         return found
 
-    monkeypatch.setattr(oracle, "_solve_in_cell", recording)
+    monkeypatch.setattr(oracle, "_cell_roots", recording)
     prob = ProblemSpec(2, QuadraticLoss(np.ones((2, 2)), -np.ones(2)), g)
     S = brute_force_stationary_set(prob, (np.full(2, -3.0), np.full(2, 3.0)), cells=40)
     roots.sort(key=lambda t: (t[1], tuple(t[0])))
@@ -440,3 +441,96 @@ def test_root_merge_keeps_what_the_pairwise_loop_kept(g, count, monkeypatch):
     want.sort(key=tuple)
     assert len(roots) >= len(want) == count
     assert np.array_equal(S.points, np.array(want))
+
+
+def _scans_match_the_per_cell_reference(monkeypatch, scans):
+    """Run each scan() -> (points, warnings) with _cell_roots recorded, and
+    compare every kept cell's roots with the per-cell reference solve: the
+    same count, each root within 1e-12, and the same discarded count."""
+    from oracle_reference import _solve_in_cell
+    calls, solve = [], oracle._cell_roots
+
+    def recording(*args):
+        found = solve(*args)
+        calls.append((args, found))
+        return found
+
+    monkeypatch.setattr(oracle, "_cell_roots", recording)
+    roots = 0
+    for scan in scans:
+        del calls[:]
+        _points, warnings = scan()
+        (args, (X, _res, owner)), = calls
+        penalty, target, target_jac, lo, hi, options, has, limiting = args
+        opts = [tuple(o) if o[0] < o[1] else float(o[0]) for o in options]
+        discarded = 0
+        for c in range(len(lo)):
+            cell_options = [[opts[k] for k in np.flatnonzero(h[c])] for h in has]
+            want = _solve_in_cell(
+                penalty, target, lambda x: target_jac(x[None])[0], lo[c], hi[c],
+                cell_options, limiting)
+            got = X[owner == c]
+            assert len(got) == len(want), (c, got, want)
+            for x, (y, _res) in zip(got, want):
+                assert np.max(np.abs(x - y)) <= 1e-12, (c, x, y)
+            discarded += not want
+            roots += len(want)
+        assert discarded == sum(int(w.split()[0]) for w in warnings if "discarded" in w)
+    return roots
+
+
+def _stationary_scan(prob, lo, hi, cells, limiting=False):
+    box = (np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return lambda: oracle._scan(prob, "S_cano", np.zeros(prob.n), box, cells, limiting)
+
+
+def test_stacked_solve_matches_the_per_cell_reference_on_the_negabs_battery(monkeypatch):
+    scans = [_stationary_scan(prob, box[0], box[1], 240, limiting)
+             for prob, box, _lam, _c in instances.negabs_battery() for limiting in (False, True)]
+    assert _scans_match_the_per_cell_reference(monkeypatch, scans) > 0
+
+
+def test_stacked_solve_matches_the_per_cell_reference_on_example_5_1(monkeypatch):
+    cases = instances.example_5_1_cases()
+    assert "case-ii-degenerate" in {case.name for case in cases}
+    scans = [_stationary_scan(case.prob, case.z_bar - 0.2, case.z_bar + 0.2, 120)
+             for case in cases]
+    assert _scans_match_the_per_cell_reference(monkeypatch, scans) > 0
+
+
+def test_stacked_solve_matches_the_per_cell_reference_on_a_perturbation_grid(monkeypatch):
+    # S_cano(p) and S_PG(p) on scad_case_i's modulus window, 3 x 3 grid of p
+    case = instances.scad_case_i()
+    box = (case.z_bar - 0.25, case.z_bar + 0.25)
+    grid = [np.array(p) for p in itertools.product(np.linspace(-1e-3, 1e-3, 3), repeat=2)]
+    scans = [lambda p=p, kind=kind: oracle._scan(case.prob, kind, p, box, 160, gamma=0.5)
+             for p in grid for kind in ("S_cano", "S_PG")]
+    assert _scans_match_the_per_cell_reference(monkeypatch, scans) > 0
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_stacked_solve_matches_the_per_cell_reference_on_quadratic_families(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((4, 2))
+    Q = A.T @ A / 4 + 0.5 * np.eye(2)
+    q = 0.5 * rng.standard_normal(2)
+    scans = [_stationary_scan(ProblemSpec(2, QuadraticLoss(0.5 * (Q + Q.T), q), g),
+                              [-6.0, -6.0], [6.0, 6.0], 400)
+             for g in (L1Penalty(0.2), ScadPenalty(0.2, 3.7), McpPenalty(0.2, 2.5),
+                       NegAbsPenalty(0.05))]
+    assert _scans_match_the_per_cell_reference(monkeypatch, scans) > 0
+
+
+def test_stacked_solve_matches_the_per_cell_reference_without_a_hessian(monkeypatch):
+    # the network loss takes the central-difference Jacobian
+    prob = ProblemSpec(2, SigmoidNNLoss(1, [[1.0], [-0.5]], [0.8, 0.3]), L1Penalty(0.1))
+    scans = [_stationary_scan(prob, [-3.0, -3.0], [3.0, 3.0], 20)]
+    assert _scans_match_the_per_cell_reference(monkeypatch, scans) > 0
+
+
+@pytest.mark.parametrize("g", [ZeroPenalty(), L1Penalty(0.5)], ids=["zero", "l1"])
+def test_stacked_solve_matches_the_per_cell_reference_on_a_continuum(monkeypatch, g):
+    # singular Jacobians: each cell's root is its centre's projection
+    prob = ProblemSpec(2, QuadraticLoss(np.ones((2, 2)), -np.ones(2)), g)
+    scans = [_stationary_scan(prob, [-3.0, -3.0], [3.0, 3.0], 40)]
+    assert _scans_match_the_per_cell_reference(monkeypatch, scans) > 0

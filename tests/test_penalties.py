@@ -95,6 +95,64 @@ def test_group_lasso_prox_step_equals_the_coordinate_set_step_bit_for_bit():
     assert zeros[0] == 0 and 0 < zeros[-1] < n   # no group, then some, shrink to 0
 
 
+def _group_lasso_loops(g):
+    """value_many, prox_vector and subdiff_distances with one norm per group."""
+    def value_many(X):
+        tot = np.zeros(X.shape[0])
+        for grp, w in zip(g.groups, g.weights):
+            tot += w * np.linalg.norm(X[:, list(grp)], axis=1)
+        return tot
+
+    def prox_vector(u, gamma):
+        out = np.array(u, dtype=float)
+        for grp, w in zip(g.groups, g.weights):
+            idx = list(grp)
+            nrm = np.linalg.norm(u[idx])
+            out[idx] = (0.0 if nrm <= gamma * w else 1.0 - gamma * w / nrm) * u[idx]
+        return out
+
+    def subdiff_distances(x, v):
+        out = []
+        for grp, w in zip(g.groups, g.weights):
+            idx = list(grp)
+            nrm = np.linalg.norm(x[idx])
+            out.append(np.linalg.norm(v[idx] - w * x[idx] / nrm) if nrm > 0
+                       else max(np.linalg.norm(v[idx]) - w, 0.0))
+        return np.array(out)
+
+    return value_many, prox_vector, subdiff_distances
+
+
+def test_group_lasso_reductions_match_the_per_group_loop():
+    # unequal, unsorted groups, a zero weight, and groups of x at zero
+    rng = np.random.default_rng(26)
+    n = 60
+    perm = rng.permutation(n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=11, replace=False))
+    groups = [perm[a:b].tolist() for a, b in zip([0, *cuts], [*cuts, n])]
+    weights = rng.uniform(0.0, 2.0, len(groups))
+    weights[3] = 0.0
+    g = GroupLasso(groups, weights)
+    value_many, prox_vector, subdiff_distances = _group_lasso_loops(g)
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-15 * np.maximum(np.abs(want), 1.0))
+
+    X = rng.standard_normal((50, n))
+    X[:, groups[0]] = 0.0
+    assert close(g.value_many(X), value_many(X))
+    for x in X[:10]:
+        assert g.value(x) == g.value_many(x[None])[0]
+        for gamma in (0.05, 0.5, 5.0):
+            u = rng.standard_normal(n)
+            assert close(g.prox_vector(u, gamma), prox_vector(u, gamma))
+        v = rng.standard_normal(n)
+        assert close(g.subdiff_distances(x, v), subdiff_distances(x, v))
+    for empty in ([[0, 1], []], []):
+        with pytest.raises(PenaltyError):
+            GroupLasso(empty, [1.0] * len(empty))
+
+
 def test_box_prox_is_projection():
     res = prox(BoxIndicator(-1.0, 2.0), np.array([5.0, -3.0, 0.5]), 0.7)
     assert np.allclose(res.minimizers[0], [2.0, -1.0, 0.5])
