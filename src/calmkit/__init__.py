@@ -6,13 +6,10 @@ from .core import (ConfigError, IterateTrace, NumericAbort, ProblemSpec,
                    load_problem, problem_from_json, save_problem)
 from .losses import (Box, ExponentialLoss, LipschitzBound, LogisticLoss,
                      QuadraticLoss, SigmoidNNLoss, StructuredCompositeLoss,
-                     lipschitz_bound, loss_from_json, loss_gradient,
-                     loss_hessian, loss_value)
+                     loss_from_json)
 from .penalties import (BoxIndicator, GroupLasso, IntervalSet, L1Penalty,
                         McpPenalty, NegAbsPenalty, Penalty, ProxResult,
-                        ScadPenalty, ZeroPenalty, graph, limiting_subdiff_scalar,
-                        penalty_from_json, penalty_value, prox,
-                        prox_subdiff_scalar)
+                        ScadPenalty, ZeroPenalty, penalty_from_json)
 from .graphs_cones import (ConeUnion2, PolylineGraph, classify_point,
                            directional_limiting_normal_cone,
                            limiting_normal_cone, regular_normal_cone,

@@ -20,8 +20,8 @@ from .constrained_solvers import (LinearlyConstrainedProblem, SaddleProblem,
 from .core import (ConfigError, IterateTrace, NumericAbort, SolverConfig,
                    load_problem, problem_from_json)
 from .graphs_cones import (GraphPointError, classify_point,
-                           directional_limiting_normal_cone, limiting_normal_cone,
-                           regular_normal_cone, tangent_cone)
+                           directional_limiting_normal_atoms, limiting_normal_atoms,
+                           polar_of_directions, tangent_atoms)
 from .losses import Box, LossError
 from .oracle import OracleError, brute_force_prox, brute_force_stationary_set
 from .penalties import PenaltyError, ScadPenalty, penalty_from_json
@@ -67,6 +67,10 @@ def _emit(obj, path=None):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _atoms_json(atoms):
+    return [a.to_json() for a in atoms]
 
 
 def _solver_config(args, L=None, box=None):
@@ -227,14 +231,13 @@ def cmd_reproduce(args) -> int:
         zmid = 0.5 * (lam + a * lam)
         slant = (1.0, 1.0 / (1.0 - a))
         out["cones"] = {
-            "directional_at_lower_kink_up": directional_limiting_normal_cone(
-                G, (0.0, -lam), (0.0, 1.0)).to_json(),
-            "directional_on_slant": directional_limiting_normal_cone(
-                G, (zmid, (a * lam - zmid) / (a - 1.0)), slant).to_json(),
-            "limiting_interior_vertical": limiting_normal_cone(
-                G, (0.0, 0.3 * lam)).to_json(),
-            "limiting_interior_flat": limiting_normal_cone(G, (0.5 * lam, lam)).to_json(),
-            "tangent_at_upper_kink": tangent_cone(G, (0.0, lam)).to_json(),
+            "directional_at_lower_kink_up": _atoms_json(directional_limiting_normal_atoms(
+                G, (0.0, -lam), (0.0, 1.0))),
+            "directional_on_slant": _atoms_json(directional_limiting_normal_atoms(
+                G, (zmid, (a * lam - zmid) / (a - 1.0)), slant)),
+            "limiting_interior_vertical": _atoms_json(limiting_normal_atoms(G, (0.0, 0.3 * lam))),
+            "limiting_interior_flat": _atoms_json(limiting_normal_atoms(G, (0.5 * lam, lam))),
+            "tangent_at_upper_kink": _atoms_json(tangent_atoms(G, (0.0, lam))),
         }
         out["notes"].append(
             "The upper-kink tangent cone follows the drawn graph geometry "
@@ -285,12 +288,12 @@ def cmd_explain(args) -> int:
     p = tuple(_parse_vector(args.point, 2))
     cl = classify_point(G, p)
     out = {"classification": cl.to_json(),
-           "tangent": tangent_cone(G, p).to_json(),
-           "regular_normal": regular_normal_cone(G, p).to_json(),
-           "limiting_normal": limiting_normal_cone(G, p).to_json()}
+           "tangent": _atoms_json(tangent_atoms(G, p)),
+           "regular_normal": _atoms_json(polar_of_directions(cl.out_directions)),
+           "limiting_normal": _atoms_json(limiting_normal_atoms(G, p))}
     if args.direction:
         d = tuple(_parse_vector(args.direction, 2))
-        out["directional_normal"] = directional_limiting_normal_cone(G, p, d).to_json()
+        out["directional_normal"] = _atoms_json(directional_limiting_normal_atoms(G, p, d))
         out["direction"] = list(d)
     _emit(out, args.out)
     return 0

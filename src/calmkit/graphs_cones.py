@@ -2,20 +2,26 @@
 
 A subdifferential graph is stored as a union of line pieces (segments or
 rays).  Tangent, regular normal, limiting normal and directional limiting
-normal cones at a point of the graph are all finite unions of polyhedral
-cones in R^2, represented canonically as merged angular arcs so that
-equality and containment are decided exactly.
+normal cones at a point of the graph are all finite unions of convex atoms
+(ray, line, sector, half-plane, {0} or the plane), and the atom lists are the
+output of the calculus: their generators are the graph's own unit directions
+and their 90-degree rotations, so a generator that a piece makes
+axis-aligned is exactly axis-aligned, and the certificate rows read from
+Atom.g1/g2 carry no rounding that the data do not have.
 
 classify_point sees every graph point as a vertex with incident half-pieces;
-a segment-interior point has two, along u and -u.  Each cone is built once,
-from its atom routine: tangent_atoms, limiting_normal_atoms and
-directional_limiting_normal_atoms list convex atoms, _uncovered drops every
-atom that lies inside another, and the cone is ConeUnion2.from_atoms of the
-list.  The regular normal cone is the polar of the half-piece directions,
-read off their angular gaps: each cyclic gap a -> b of at least pi gives the
-arc [a + pi/2, b - pi/2], and no such gap gives {0}.  Every membership
-question (a vector in a cone, an atom in an atom, a cone in a cone) is one
-test, _arcs_within.
+a segment-interior point has two, along u and -u.  tangent_atoms gives one
+ray per half-piece.  polar_of_directions gives the regular normal cone, read
+off the angular gaps between the sorted directions: a gap u -> v of more
+than pi gives the sector from u rotated by +90 degrees to v rotated by -90
+degrees, and a gap of pi gives the ray u rotated by +90 degrees.  In both,
+opposite rays join into a line (_rays_and_lines).  limiting_normal_atoms and
+directional_limiting_normal_atoms add each incident piece's normal line, and
+_uncovered drops every atom that lies inside another.
+
+Angles only sort directions and compare cones.  ConeUnion2 holds a cone as
+merged angular arcs so that equality, containment and membership are decided
+exactly; every such question is one test, _arcs_within.
 """
 
 from __future__ import annotations
@@ -44,10 +50,6 @@ def _angle(v) -> float:
     if a < 0.0:
         a += TWO_PI
     return a % TWO_PI
-
-
-def _from_angle(a: float):
-    return (math.cos(a), math.sin(a))
 
 
 # ---------------------------------------------------------------------------
@@ -283,40 +285,6 @@ class ConeUnion2:
                 return False
         return True
 
-    # -- conversions --------------------------------------------------------
-
-    def to_atoms(self):
-        """Decompose into Atom records (arcs longer than pi are split)."""
-        if self.is_zero:
-            return [Atom("zero")]
-        if self.is_full:
-            return [Atom("full")]
-        atoms = []
-        # pair each degenerate arc with its first antipodal mate into a line
-        deg = [s for s, e in self.arcs if e - s <= ANGLE_TOL]
-        while deg:
-            s = deg.pop(0)
-            mate = next((j for j, t in enumerate(deg)
-                         if abs((t - s) % TWO_PI - math.pi) <= ANGLE_TOL), None)
-            if mate is not None:
-                deg.pop(mate)
-            atoms.append(Atom("ray" if mate is None else "line", _from_angle(s)))
-        for s, e in self.arcs:
-            w = e - s
-            if w <= ANGLE_TOL:
-                continue
-            if w <= math.pi + ANGLE_TOL:
-                kind = "half" if abs(w - math.pi) <= ANGLE_TOL else "sector"
-                atoms.append(Atom(kind, _from_angle(s), _from_angle(e)))
-            else:
-                mid = s + w / 2.0
-                atoms.append(Atom("sector", _from_angle(s), _from_angle(mid)))
-                atoms.append(Atom("sector", _from_angle(mid), _from_angle(e)))
-        return atoms
-
-    def to_json(self):
-        return [a.to_json() for a in self.to_atoms()]
-
     def __repr__(self):
         if self.is_zero:
             return "ConeUnion2(zero)"
@@ -326,23 +294,42 @@ class ConeUnion2:
             "[%.6f, %.6f]" % (s, e) for s, e in self.arcs)
 
 
-def polar_of_directions(dirs) -> ConeUnion2:
-    """Polar cone {v : <v, d> <= 0 for all d} of a finite set of directions.
+def _rays_and_lines(gens):
+    """One ray per generator, with each opposite pair joined into a line."""
+    atoms, mates = [], set()
+    for i, u in enumerate(gens):
+        if i in mates:
+            continue
+        mate = next((j for j in range(i + 1, len(gens)) if j not in mates
+                     and abs(u[0] + gens[j][0]) < 1e-12 and abs(u[1] + gens[j][1]) < 1e-12),
+                    None)
+        mates.add(mate)
+        atoms.append(atom_ray(u) if mate is None else atom_line(u))
+    return atoms
 
-    Read off the angular gaps between the sorted directions: v is polar iff
-    every direction lies within the half-circle opposite v, so the polar is
-    nonzero only across a cyclic gap a -> b of at least pi, where it is the
-    arc [a + pi/2, b - pi/2] (a single point when the gap is pi).  With no
-    such gap the polar is {0}; one direction gives a half-plane, and two
-    opposite directions leave two gaps of pi, whose points form the normal
-    line.
+
+def polar_of_directions(dirs):
+    """Polar cone {v : <v, d> <= 0 for all d} of a finite set of directions,
+    as convex atoms.
+
+    v is polar iff every direction lies within the half-circle opposite v, so
+    the polar is nonzero only across a cyclic gap u -> v of at least pi
+    between the sorted directions.  A gap of more than pi gives the sector
+    from (-u_y, u_x) to (v_y, -v_x), a half-plane when the gap is 2*pi (one
+    direction); a gap of pi gives the ray (-u_y, u_x), and two opposite
+    directions leave two such rays, which join into the normal line.  No
+    direction gives the plane, and no gap of at least pi gives {0}.
     """
     if not dirs:
-        return ConeUnion2.full()
-    angles = sorted(_angle(_unit(d)) for d in dirs)
-    return ConeUnion2([(a + math.pi / 2.0, max(a, b - math.pi) + math.pi / 2.0)
-                       for a, b in zip(angles, angles[1:] + [angles[0] + TWO_PI])
-                       if b - a >= math.pi - ANGLE_TOL])
+        return [Atom("full")]
+    ring = sorted((_angle(u), u) for u in map(_unit, dirs))
+    sectors, rays = [], []
+    for (a, u), (b, v) in zip(ring, ring[1:] + [(ring[0][0] + TWO_PI, ring[0][1])]):
+        if b - a > math.pi + ANGLE_TOL:
+            sectors.append(atom_sector((-u[1], u[0]), (v[1], -v[0])))
+        elif b - a >= math.pi - ANGLE_TOL:
+            rays.append((-u[1], u[0]))
+    return sectors + _rays_and_lines(rays) or [Atom("zero")]
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +393,7 @@ def classify_point(G: PolylineGraph, p, tol=1e-10) -> Classification:
 def tangent_atoms(G: PolylineGraph, p, tol=1e-10):
     """Tangent cone as convex atoms: one ray per incident half-piece, with
     opposite rays joined into a line."""
-    dirs = classify_point(G, p, tol).out_directions
-    atoms, mates = [], set()
-    for i, u in enumerate(dirs):
-        if i in mates:
-            continue
-        mate = next((j for j in range(i + 1, len(dirs)) if j not in mates
-                     and abs(u[0] + dirs[j][0]) < 1e-12 and abs(u[1] + dirs[j][1]) < 1e-12),
-                    None)
-        mates.add(mate)
-        atoms.append(atom_ray(u) if mate is None else atom_line(u))
-    return atoms
+    return _rays_and_lines(classify_point(G, p, tol).out_directions)
 
 
 def tangent_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
@@ -426,7 +403,7 @@ def tangent_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
 
 def regular_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
     """Regular (Frechet) normal cone: polar of the tangent cone."""
-    return polar_of_directions(classify_point(G, p, tol).out_directions)
+    return ConeUnion2.from_atoms(polar_of_directions(classify_point(G, p, tol).out_directions))
 
 
 def _normal_line(pc: Piece) -> Atom:
@@ -448,11 +425,14 @@ def _uncovered(atoms):
 
 
 def limiting_normal_atoms(G: PolylineGraph, p, tol=1e-10):
-    """Limiting normal cone as convex atoms: the normal line of each incident
-    piece and the regular cone, less the atoms that another one covers."""
+    """Limiting normal cone as convex atoms: at a segment-interior point the
+    piece's normal line; at a vertex the normal line of each incident piece
+    and the regular cone's atoms, less the atoms that another one covers."""
     cl = classify_point(G, p, tol)
-    lines = [_normal_line(pc) for pc in dict.fromkeys(cl.pieces)]
-    return _uncovered(lines + polar_of_directions(cl.out_directions).to_atoms())
+    if cl.kind == "segment-interior":
+        return [_normal_line(cl.pieces[0])]
+    return _uncovered([_normal_line(pc) for pc in cl.pieces]
+                      + polar_of_directions(cl.out_directions))
 
 
 def limiting_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:

@@ -387,25 +387,6 @@ class SigmoidNNLoss(SmoothLoss):
                 "A": self.A.tolist(), "b": self.b.tolist()}
 
 
-# ---------------------------------------------------------------------------
-# spec-facing operations
-
-def loss_value(loss: SmoothLoss, x) -> float:
-    return loss.value(x)
-
-
-def loss_gradient(loss: SmoothLoss, x) -> np.ndarray:
-    return loss.gradient(x)
-
-
-def loss_hessian(loss: SmoothLoss, x) -> np.ndarray:
-    return loss.hessian(x)
-
-
-def lipschitz_bound(loss: SmoothLoss, box: Box | None = None) -> LipschitzBound:
-    return loss.lipschitz_bound(box)
-
-
 def loss_from_json(d: dict) -> SmoothLoss:
     fam = d.get("family")
     if fam == "quadratic":

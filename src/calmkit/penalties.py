@@ -656,33 +656,6 @@ class GroupLasso(Penalty):
                 "weights": list(self.weights)}
 
 
-# ---------------------------------------------------------------------------
-# spec-facing operations
-
-def penalty_value(g: Penalty, x):
-    return g.value(x)
-
-
-def prox(g: Penalty, u, gamma: float) -> ProxResult:
-    return g.prox(u, gamma)
-
-
-def prox_subdiff_scalar(g: Penalty, theta: float) -> IntervalSet:
-    if not g.separable:
-        raise PenaltyError("scalar subdifferential requires a separable family")
-    return g.prox_subdiff(float(theta))
-
-
-def limiting_subdiff_scalar(g: Penalty, theta: float) -> IntervalSet:
-    if not g.separable:
-        raise PenaltyError("scalar subdifferential requires a separable family")
-    return g.limiting_subdiff(float(theta))
-
-
-def graph(g: Penalty) -> PolylineGraph:
-    return g.graph()
-
-
 def penalty_from_json(d: dict) -> Penalty:
     fam = d.get("family")
     if fam == "zero":

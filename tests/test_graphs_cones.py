@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cone_oracle as oracle
-from calmkit.graphs_cones import (ConeUnion2, GraphPointError, atom_ray,
+from calmkit.graphs_cones import (ConeUnion2, GraphPointError, atom_line, atom_ray,
                                   classify_point,
                                   directional_limiting_normal_atoms,
                                   directional_limiting_normal_cone,
@@ -88,7 +88,7 @@ def test_limiting_normal_interior_matches_displayed_cones():
 
 def test_limiting_normal_at_l1_vertex():
     c = limiting_normal_cone(L1, (0.0, 1.0))
-    sector = polar_of_directions([(0.0, -1.0), (1.0, 0.0)])
+    sector = ConeUnion2.from_atoms(polar_of_directions([(0.0, -1.0), (1.0, 0.0)]))
     expected = ConeUnion2.line((1.0, 0.0)).union(
         ConeUnion2.line((0.0, 1.0))).union(sector)
     assert c.equals(expected)
@@ -155,7 +155,7 @@ def test_polarity_at_vertices():
                     for u in cl.out_directions:
                         assert vvec[0] * u[0] + vvec[1] * u[1] <= 1e-9
             # maximality: polar of the tangent rays equals the regular cone
-            assert reg.equals(polar_of_directions(cl.out_directions))
+            assert reg.equals(ConeUnion2.from_atoms(polar_of_directions(cl.out_directions)))
 
 
 def test_oracle_equivalence_at_all_breakpoints():
@@ -191,13 +191,13 @@ def test_cone_union_canonical_merging():
 
 
 def test_cone_full_plane_detection():
-    up = polar_of_directions([(0.0, -1.0)])
-    down = polar_of_directions([(0.0, 1.0)])
+    up = ConeUnion2.from_atoms(polar_of_directions([(0.0, -1.0)]))
+    down = ConeUnion2.from_atoms(polar_of_directions([(0.0, 1.0)]))
     assert up.union(down).is_full
 
 
 def test_polar_of_opposite_rays_is_perpendicular_line():
-    c = polar_of_directions([(1.0, 0.0), (-1.0, 0.0)])
+    c = ConeUnion2.from_atoms(polar_of_directions([(1.0, 0.0), (-1.0, 0.0)]))
     assert c.equals(ConeUnion2.line((0.0, 1.0)))
 
 
@@ -227,7 +227,7 @@ def test_polar_matches_the_oracle_on_random_direction_sets():
         if any(abs(b - a - math.pi) <= 1e-6 and v != (-u[0], -u[1])
                for (a, u), (b, v) in gaps):
             continue
-        cone = polar_of_directions(dirs)
+        cone = ConeUnion2.from_atoms(polar_of_directions(dirs))
         assert oracle.arcs_match(oracle.polar_arcs([a for a, _ in ring]), cone), (dirs, cone)
         seen["single"] += len(dirs) == 1
         seen["zero"] += cone.is_zero
@@ -236,9 +236,36 @@ def test_polar_matches_the_oracle_on_random_direction_sets():
 
 
 def test_cone_json_atoms():
-    c = limiting_normal_cone(L1, (0.0, 1.0))
-    kinds = sorted(a["kind"] for a in c.to_json())
-    assert kinds == ["ray", "ray", "sector"]
+    kinds = sorted(a.to_json()["kind"] for a in limiting_normal_atoms(L1, (0.0, 1.0)))
+    assert kinds == ["line", "line", "sector"]
+
+
+def _generators(atoms):
+    return [g for a in atoms for g in ((a.g1,) if a.kind in ("ray", "line") else
+                                       (a.g1, a.g2) if a.kind in ("sector", "half") else ())]
+
+
+def test_generators_are_the_graph_directions_exactly():
+    # generators are the pieces' unit directions and their 90-degree
+    # rotations: no angle round trip, so what a piece makes axis-aligned is
+    # exactly axis-aligned (no 6e-17 components) ...
+    for G in (L1, SCAD):
+        for v in G.vertices():
+            dirs = classify_point(G, v).out_directions
+            cones = [tangent_atoms(G, v), polar_of_directions(dirs),
+                     limiting_normal_atoms(G, v)]
+            cones += [directional_limiting_normal_atoms(G, v, d) for d in dirs]
+            gens = [g for atoms in cones for g in _generators(atoms)]
+            assert gens and all(c == 0.0 or abs(c) > 1e-9 for g in gens for c in g), (v, gens)
+    # ... a sector and a normal line along one direction carry the same bits
+    lines = {a.g1 for a in limiting_normal_atoms(SCAD, (1.0, 1.0)) if a.kind == "line"}
+    (sector,) = polar_of_directions(classify_point(SCAD, (1.0, 1.0)).out_directions)
+    assert sector.kind == "sector"
+    hexes = {tuple(c.hex() for c in g) for g in lines}
+    assert {tuple(c.hex() for c in g) for g in (sector.g1, sector.g2)} == hexes
+    # ... and a segment-interior point has its piece's normal line, once
+    for p, normal in (((0.0, 0.3), (-1.0, 0.0)), ((0.5, 1.0), (-0.0, 1.0))):
+        assert limiting_normal_atoms(L1, p) == [atom_line(normal)]
 
 
 def test_cone_wrap_around_merging():
@@ -258,9 +285,6 @@ def test_cone_wrap_around_merging():
                                            (m.cos(0.4), m.sin(0.4)))])
     assert c.contains_vector((1.0, 0.0))
     assert not c.contains_vector((0.0, 1.0))
-    # canonical form survives the atom round trip
-    assert ConeUnion2.from_atoms(c.to_atoms()).equals(c)
-    assert ConeUnion2.from_atoms(u.to_atoms()).equals(u)
 
 
 def test_subset_of_is_exact():

@@ -5,8 +5,7 @@ import pytest
 
 from calmkit.losses import (Box, ExponentialLoss, LogisticLoss, LossError,
                             MarginLoss, QuadraticLoss, SigmoidNNLoss,
-                            StructuredCompositeLoss, lipschitz_bound,
-                            loss_gradient, loss_hessian, loss_value)
+                            StructuredCompositeLoss)
 
 RNG = np.random.default_rng(42)
 
@@ -47,18 +46,16 @@ def sample_losses():
 
 
 def test_value_examples():
-    assert loss_value(QuadraticLoss(np.eye(2), np.zeros(2)),
-                      np.array([3.0, 4.0])) == pytest.approx(12.5)
-    assert loss_value(ExponentialLoss([[1.0, 0.0]], [1.0]),
-                      np.zeros(2)) == pytest.approx(1.0)
-    assert loss_value(LogisticLoss([[1.0]], [1.0]),
-                      np.zeros(1)) == pytest.approx(math.log(2.0))
+    assert QuadraticLoss(np.eye(2), np.zeros(2)).value(
+        np.array([3.0, 4.0])) == pytest.approx(12.5)
+    assert ExponentialLoss([[1.0, 0.0]], [1.0]).value(np.zeros(2)) == pytest.approx(1.0)
+    assert LogisticLoss([[1.0]], [1.0]).value(np.zeros(1)) == pytest.approx(math.log(2.0))
 
 
 def test_gradient_examples():
-    assert np.allclose(loss_gradient(QuadraticLoss(np.eye(2), np.zeros(2)),
-                                     np.array([3.0, 4.0])), [3.0, 4.0])
-    g = loss_gradient(ExponentialLoss([[1.0, 0.0]], [1.0]), np.zeros(2))
+    assert np.allclose(QuadraticLoss(np.eye(2), np.zeros(2)).gradient(
+        np.array([3.0, 4.0])), [3.0, 4.0])
+    g = ExponentialLoss([[1.0, 0.0]], [1.0]).gradient(np.zeros(2))
     fd = central_diff_gradient(ExponentialLoss([[1.0, 0.0]], [1.0]), np.zeros(2))
     assert np.allclose(g, [-1.0, 0.0], atol=1e-12)
     assert np.max(np.abs(g - fd)) <= 1e-8
@@ -78,11 +75,11 @@ def test_gradients_match_finite_differences_everywhere():
 
 def test_hessian_examples():
     q = QuadraticLoss(np.array([[2.0, 1.0], [1.0, 4.0]]), np.zeros(2))
-    assert np.array_equal(loss_hessian(q, RNG.normal(size=2)), q.Q)
+    assert np.array_equal(q.hessian(RNG.normal(size=2)), q.Q)
     e = ExponentialLoss([[1.0, 0.0]], [1.0])
-    assert np.allclose(loss_hessian(e, np.zeros(2)), [[1.0, 0.0], [0.0, 0.0]])
+    assert np.allclose(e.hessian(np.zeros(2)), [[1.0, 0.0], [0.0, 0.0]])
     lg = LogisticLoss([[1.0]], [1.0])
-    assert loss_hessian(lg, np.zeros(1))[0, 0] == pytest.approx(0.25)
+    assert lg.hessian(np.zeros(1))[0, 0] == pytest.approx(0.25)
 
 
 def test_hessian_matches_gradient_differences():
@@ -99,12 +96,12 @@ def test_hessian_matches_gradient_differences():
 
 
 def test_lipschitz_bound_examples():
-    assert lipschitz_bound(QuadraticLoss(np.diag([2.0, 1.0]), np.zeros(2))).value \
+    assert QuadraticLoss(np.diag([2.0, 1.0]), np.zeros(2)).lipschitz_bound().value \
         == pytest.approx(2.0, abs=1e-9)
     lg = LogisticLoss(np.eye(2), np.ones(2))
-    assert lipschitz_bound(lg).value == pytest.approx(0.25, abs=1e-9)
+    assert lg.lipschitz_bound().value == pytest.approx(0.25, abs=1e-9)
     e = ExponentialLoss([[1.0]], [1.0])
-    lb = lipschitz_bound(e, Box.cube(1, -1.0, 1.0))
+    lb = e.lipschitz_bound(Box.cube(1, -1.0, 1.0))
     assert lb.value == pytest.approx(math.e, rel=1e-12)
     assert lb.scope == "box"
 
@@ -127,9 +124,9 @@ def test_lipschitz_bound_is_an_upper_bound():
 
 def test_exponential_needs_box():
     with pytest.raises(LossError, match="box"):
-        lipschitz_bound(ExponentialLoss([[1.0]], [1.0]))
+        ExponentialLoss([[1.0]], [1.0]).lipschitz_bound()
     with pytest.raises(LossError, match="box"):
-        lipschitz_bound(SigmoidNNLoss(1, [[1.0]], [0.0]))
+        SigmoidNNLoss(1, [[1.0]], [0.0]).lipschitz_bound()
 
 
 def test_gradient_lipschitz_property_on_box():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from calmkit.oracle import brute_force_prox
 from calmkit.penalties import (BoxIndicator, GroupLasso, IntervalSet, L1Penalty,
                                McpPenalty, NegAbsPenalty, PenaltyError,
-                               ScadPenalty, SeparablePenalty, ZeroPenalty, graph,
-                               limiting_subdiff_scalar, penalty_from_json,
-                               penalty_value, prox, prox_subdiff_scalar)
+                               ScadPenalty, SeparablePenalty, ZeroPenalty,
+                               penalty_from_json)
 
 SEPARABLE = [ZeroPenalty(), L1Penalty(1.0), L1Penalty(2.5), ScadPenalty(1.0, 3.0),
              ScadPenalty(0.7, 3.7), McpPenalty(1.0, 2.0), McpPenalty(1.4, 2.5),
@@ -30,7 +29,7 @@ def test_mcp_value_far_branch():
 
 
 def test_l1_vector_value():
-    assert penalty_value(L1Penalty(2.0), np.array([1.0, -3.0])) == pytest.approx(8.0)
+    assert L1Penalty(2.0).value(np.array([1.0, -3.0])) == pytest.approx(8.0)
 
 
 def test_box_value_infinite_outside():
@@ -43,7 +42,7 @@ def test_box_value_infinite_outside():
 # prox
 
 def test_l1_prox_soft_threshold():
-    res = prox(L1Penalty(1.0), np.array([3.0]), 1.0)
+    res = L1Penalty(1.0).prox(np.array([3.0]), 1.0)
     assert len(res.minimizers) == 1
     assert res.minimizers[0][0] == pytest.approx(2.0, abs=1e-12)
     pts = brute_force_prox(L1Penalty(1.0), 3.0, 1.0, window=8.0, grid=1e-5)
@@ -51,7 +50,7 @@ def test_l1_prox_soft_threshold():
 
 
 def test_negabs_prox_two_minimizers_at_zero():
-    res = prox(NegAbsPenalty(1.0), np.array([0.0]), 1.0)
+    res = NegAbsPenalty(1.0).prox(np.array([0.0]), 1.0)
     vals = sorted(m[0] for m in res.minimizers)
     assert vals == pytest.approx([-1.0, 1.0], abs=1e-12)
     pts = brute_force_prox(NegAbsPenalty(1.0), 0.0, 1.0, window=8.0, grid=1e-5)
@@ -59,13 +58,13 @@ def test_negabs_prox_two_minimizers_at_zero():
 
 
 def test_zero_prox_identity():
-    res = prox(ZeroPenalty(), np.array([7.0, -2.0]), 0.3)
+    res = ZeroPenalty().prox(np.array([7.0, -2.0]), 0.3)
     assert np.allclose(res.minimizers[0], [7.0, -2.0])
 
 
 def test_group_lasso_prox_blockwise():
     g = GroupLasso([[0, 1]], [1.0])
-    res = prox(g, np.array([3.0, 4.0]), 1.0)
+    res = g.prox(np.array([3.0, 4.0]), 1.0)
     assert np.allclose(res.minimizers[0], [2.4, 3.2])
     # 2-D grid oracle on the block objective
     xs = np.linspace(-1, 5, 301)
@@ -154,7 +153,7 @@ def test_group_lasso_reductions_match_the_per_group_loop():
 
 
 def test_box_prox_is_projection():
-    res = prox(BoxIndicator(-1.0, 2.0), np.array([5.0, -3.0, 0.5]), 0.7)
+    res = BoxIndicator(-1.0, 2.0).prox(np.array([5.0, -3.0, 0.5]), 0.7)
     assert np.allclose(res.minimizers[0], [2.0, -1.0, 0.5])
 
 
@@ -180,16 +179,16 @@ def test_prox_tie_is_returned_as_set_not_broken():
 
 def test_scad_subdiff_paper_formula():
     g = ScadPenalty(1.0, 3.0)
-    assert prox_subdiff_scalar(g, 0.0).equals(IntervalSet.closed(-1.0, 1.0))
-    assert prox_subdiff_scalar(g, 4.0).equals(IntervalSet.point(0.0))
-    assert prox_subdiff_scalar(g, 0.5).equals(IntervalSet.point(1.0))
-    assert prox_subdiff_scalar(g, 2.0).equals(IntervalSet.point(0.5))
-    assert prox_subdiff_scalar(g, -2.0).equals(IntervalSet.point(-0.5))
+    assert g.prox_subdiff(0.0).equals(IntervalSet.closed(-1.0, 1.0))
+    assert g.prox_subdiff(4.0).equals(IntervalSet.point(0.0))
+    assert g.prox_subdiff(0.5).equals(IntervalSet.point(1.0))
+    assert g.prox_subdiff(2.0).equals(IntervalSet.point(0.5))
+    assert g.prox_subdiff(-2.0).equals(IntervalSet.point(-0.5))
 
 
 def test_mcp_subdiff_derived():
     g = McpPenalty(1.0, 2.0)
-    assert prox_subdiff_scalar(g, 1.0).equals(IntervalSet.point(0.5))
+    assert g.prox_subdiff(1.0).equals(IntervalSet.point(0.5))
     # difference-quotient limit at theta=1: psi'(1) = lam - theta/a
     h = 1e-7
     dq = (g.scalar_value(1.0 + h) - g.scalar_value(1.0 - h)) / (2 * h)
@@ -198,26 +197,25 @@ def test_mcp_subdiff_derived():
 
 def test_negabs_subdifferentials():
     g = NegAbsPenalty(1.0)
-    assert prox_subdiff_scalar(g, 0.0).is_empty
-    assert limiting_subdiff_scalar(g, 0.0).equals(
+    assert g.prox_subdiff(0.0).is_empty
+    assert g.limiting_subdiff(0.0).equals(
         IntervalSet.of((-1.0, -1.0), (1.0, 1.0)))
-    assert prox_subdiff_scalar(g, 2.0).equals(IntervalSet.point(-1.0))
-    assert limiting_subdiff_scalar(g, -3.0).equals(IntervalSet.point(1.0))
+    assert g.prox_subdiff(2.0).equals(IntervalSet.point(-1.0))
+    assert g.limiting_subdiff(-3.0).equals(IntervalSet.point(1.0))
 
 
 def test_l1_limiting_equals_prox():
     g = L1Penalty(2.0)
-    assert limiting_subdiff_scalar(g, -1.0).equals(IntervalSet.point(-2.0))
+    assert g.limiting_subdiff(-1.0).equals(IntervalSet.point(-2.0))
     for t in (-1.0, 0.0, 0.3):
-        assert limiting_subdiff_scalar(g, t).equals(prox_subdiff_scalar(g, t))
+        assert g.limiting_subdiff(t).equals(g.prox_subdiff(t))
 
 
 def test_semiconvex_families_prox_equals_limiting():
     for g in (ScadPenalty(1.0, 3.0), McpPenalty(1.0, 2.0), L1Penalty(1.0)):
         thetas = list(np.linspace(-5, 5, 201)) + g.breakpoints()
         for t in thetas:
-            assert prox_subdiff_scalar(g, float(t)).equals(
-                limiting_subdiff_scalar(g, float(t)))
+            assert g.prox_subdiff(float(t)).equals(g.limiting_subdiff(float(t)))
 
 
 def _one_sided_slopes(g, t, h=1e-7):
@@ -333,12 +331,12 @@ def test_subdifferential_at_infinity_is_never_nan(g):
 # graphs
 
 def test_l1_graph_three_pieces():
-    G = graph(L1Penalty(1.0))
+    G = L1Penalty(1.0).graph()
     assert len(G.pieces) == 3
 
 
 def test_scad_graph_seven_pieces():
-    G = graph(ScadPenalty(1.0, 3.0))
+    G = ScadPenalty(1.0, 3.0).graph()
     assert len(G.pieces) == 7
     # spot-check the drawn shape: kink ordinates and slanted endpoints
     vs = {tuple(np.round(v, 12)) for v in G.vertices()}
@@ -347,7 +345,7 @@ def test_scad_graph_seven_pieces():
 
 
 def test_mcp_graph_five_pieces():
-    G = graph(McpPenalty(1.0, 2.0))
+    G = McpPenalty(1.0, 2.0).graph()
     assert len(G.pieces) == 5
     vs = {tuple(np.round(v, 12)) for v in G.vertices()}
     assert (2.0, 0.0) in vs and (0.0, 1.0) in vs
@@ -355,7 +353,7 @@ def test_mcp_graph_five_pieces():
 
 def test_group_lasso_has_no_graph():
     with pytest.raises(PenaltyError):
-        graph(GroupLasso([[0]], [1.0]))
+        GroupLasso([[0]], [1.0]).graph()
 
 
 def test_graph_slices_match_subdifferential():
