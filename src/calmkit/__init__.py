@@ -10,10 +10,7 @@ from .losses import (Box, ExponentialLoss, LipschitzBound, LogisticLoss,
 from .penalties import (BoxIndicator, GroupLasso, IntervalSet, L1Penalty,
                         McpPenalty, NegAbsPenalty, Penalty, ProxResult,
                         ScadPenalty, ZeroPenalty, penalty_from_json)
-from .graphs_cones import (ConeUnion2, PolylineGraph, classify_point,
-                           directional_limiting_normal_cone,
-                           limiting_normal_cone, regular_normal_cone,
-                           tangent_cone)
+from .graphs_cones import PolylineGraph, classify_point
 from .solvers import pg_solve, ppa_solve
 from .constrained_solvers import (ConvexTerm, KKTTrace,
                                   LinearlyConstrainedProblem, SaddleProblem,

@@ -152,6 +152,11 @@ def cmd_diagnose(args) -> int:
     prob = load_problem(args.problem)
     with _user_input("trace file %s" % args.trace):
         trace = IterateTrace.read_csv(args.trace)
+    if trace.n != prob.n:
+        raise ConfigError("trace file %s has dimension %d, the problem %d"
+                          % (args.trace, trace.n, prob.n))
+    if not len(trace):
+        raise ConfigError("trace file %s has no iterate" % args.trace)
     L, _ = _lipschitz(prob, args)
     gamma = args.gamma
     rng = np.random.default_rng(args.seed)

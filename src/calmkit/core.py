@@ -54,12 +54,10 @@ class SolverConfig:
     theory_mode: bool = True
     lipschitz_box: losses_mod.Box | None = None
 
-    def validate(self, prob: ProblemSpec | None = None):
+    def validate(self):
         if self.gamma <= 0:
             raise ConfigError("step size gamma must be positive")
         self.validate_iterations()
-        if prob is not None and self.gamma >= prob.penalty.gamma_max:
-            raise ConfigError("gamma >= prox-boundedness threshold of the penalty")
         if self.theory_mode:
             if self.lipschitz_L <= 0:
                 raise ConfigError("theory mode needs a positive Lipschitz bound L")

@@ -19,9 +19,9 @@ opposite rays join into a line (_rays_and_lines).  limiting_normal_atoms and
 directional_limiting_normal_atoms add each incident piece's normal line, and
 _uncovered drops every atom that lies inside another.
 
-Angles only sort directions and compare cones.  ConeUnion2 holds a cone as
-merged angular arcs so that equality, containment and membership are decided
-exactly; every such question is one test, _arcs_within.
+Angles only sort directions and decide whether one atom lies inside
+another: _uncovered reads each atom as closed angular arcs (_atom_arcs) and
+asks one arc-in-arc test, _arcs_within.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
-ANGLE_TOL = 1e-10  # canonical-form comparison tolerance (radians)
+ANGLE_TOL = 1e-10  # angular tolerance (radians): a gap or width of pi
 DIR_TOL = 1e-9     # a direction follows a half-piece within this, per component
 
 
@@ -183,117 +183,6 @@ def _arcs_within(arcs, others, tol):
     return True
 
 
-class ConeUnion2:
-    """Finite union of polyhedral cones in the plane, canonical angular form.
-
-    Stored as merged closed arcs [start, start+length] with start in
-    [0, 2*pi); the zero cone has no arcs; the full plane is one arc of
-    length 2*pi.  All cones contain the origin by convention.
-    """
-
-    def __init__(self, arcs):
-        self.arcs = self._canonicalize(arcs)
-
-    # -- construction -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ConeUnion2":
-        return ConeUnion2([])
-
-    @staticmethod
-    def full() -> "ConeUnion2":
-        return ConeUnion2([(0.0, TWO_PI)])
-
-    @staticmethod
-    def from_atoms(atoms) -> "ConeUnion2":
-        arcs = []
-        for a in atoms:
-            arcs.extend(_atom_arcs(a))
-        return ConeUnion2(arcs)
-
-    @staticmethod
-    def line(v) -> "ConeUnion2":
-        return ConeUnion2.from_atoms([atom_line(v)])
-
-    # -- canonical form -----------------------------------------------------
-
-    @staticmethod
-    def _canonicalize(arcs, tol=ANGLE_TOL):
-        cleaned = []
-        for (s, e) in arcs:
-            length = e - s
-            if length < 0:
-                raise ValueError("arc with negative length")
-            if length >= TWO_PI - tol:
-                return ((0.0, TWO_PI),)
-            cleaned.append((s % TWO_PI, length))
-        if not cleaned:
-            return ()
-        cleaned.sort()
-        merged = []
-        for s, ln in cleaned:
-            if merged and s <= merged[-1][0] + merged[-1][1] + tol:
-                ps, pl = merged[-1]
-                merged[-1] = (ps, max(pl, s + ln - ps))
-            else:
-                merged.append((s, ln))
-        # wrap-around merge between last and first
-        while len(merged) > 1:
-            s0, l0 = merged[0]
-            s1, l1 = merged[-1]
-            if s1 + l1 >= s0 + TWO_PI - tol:
-                new_len = max(l1, s0 + l0 + TWO_PI - s1)
-                if new_len >= TWO_PI - tol:
-                    return ((0.0, TWO_PI),)
-                merged = merged[1:-1] + [(s1, new_len)]
-                merged.sort()
-            else:
-                break
-        return tuple(sorted((s, s + ln) for s, ln in merged))
-
-    # -- predicates ---------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.arcs
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.arcs) == 1 and self.arcs[0][1] - self.arcs[0][0] >= TWO_PI - ANGLE_TOL
-
-    def contains_vector(self, v, tol=ANGLE_TOL) -> bool:
-        n = math.hypot(v[0], v[1])
-        if n <= 1e-300:
-            return True
-        a = _angle((v[0] / n, v[1] / n))
-        return _arcs_within([(a, a)], self.arcs, tol)
-
-    def union(self, other: "ConeUnion2") -> "ConeUnion2":
-        return ConeUnion2(list(self.arcs) + list(other.arcs))
-
-    def subset_of(self, other: "ConeUnion2", tol=1e-9) -> bool:
-        """Exact containment: canonical arcs are merged, so a connected arc
-        inside their union lies (within tol) inside one of them."""
-        return _arcs_within(self.arcs, other.arcs, tol)
-
-    def equals(self, other: "ConeUnion2", tol=ANGLE_TOL) -> bool:
-        if len(self.arcs) != len(other.arcs):
-            return False
-        for (s1, e1), (s2, e2) in zip(self.arcs, other.arcs):
-            ds = min(abs(s1 - s2), TWO_PI - abs(s1 - s2))
-            if ds > tol or abs((e1 - s1) - (e2 - s2)) > tol:
-                return False
-        return True
-
-    def __repr__(self):
-        if self.is_zero:
-            return "ConeUnion2(zero)"
-        if self.is_full:
-            return "ConeUnion2(full)"
-        return "ConeUnion2(%s)" % ", ".join(
-            "[%.6f, %.6f]" % (s, e) for s, e in self.arcs)
-
-
 def _rays_and_lines(gens):
     """One ray per generator, with each opposite pair joined into a line."""
     atoms, mates = [], set()
@@ -396,16 +285,6 @@ def tangent_atoms(G: PolylineGraph, p, tol=1e-10):
     return _rays_and_lines(classify_point(G, p, tol).out_directions)
 
 
-def tangent_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
-    """Bouligand tangent cone to the graph at p."""
-    return ConeUnion2.from_atoms(tangent_atoms(G, p, tol))
-
-
-def regular_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
-    """Regular (Frechet) normal cone: polar of the tangent cone."""
-    return ConeUnion2.from_atoms(polar_of_directions(classify_point(G, p, tol).out_directions))
-
-
 def _normal_line(pc: Piece) -> Atom:
     d = pc.unit_direction()
     return atom_line((-d[1], d[0]))
@@ -435,10 +314,6 @@ def limiting_normal_atoms(G: PolylineGraph, p, tol=1e-10):
                       + polar_of_directions(cl.out_directions))
 
 
-def limiting_normal_cone(G: PolylineGraph, p, tol=1e-10) -> ConeUnion2:
-    return ConeUnion2.from_atoms(limiting_normal_atoms(G, p, tol))
-
-
 def directional_limiting_normal_atoms(G: PolylineGraph, p, d, tol=1e-10):
     """Directional limiting normal cone in direction d, as convex atoms.
 
@@ -455,7 +330,3 @@ def directional_limiting_normal_atoms(G: PolylineGraph, p, d, tol=1e-10):
     lines = [_normal_line(pc) for pc, out in zip(cl.pieces, cl.out_directions)
              if abs(u[0] - out[0]) <= DIR_TOL and abs(u[1] - out[1]) <= DIR_TOL]
     return _uncovered(lines) or [Atom("zero")]
-
-
-def directional_limiting_normal_cone(G: PolylineGraph, p, d, tol=1e-10) -> ConeUnion2:
-    return ConeUnion2.from_atoms(directional_limiting_normal_atoms(G, p, d, tol))

@@ -238,9 +238,6 @@ class MarginLoss(SmoothLoss):
     def gradient_many(self, X):
         return self.dell(np.atleast_2d(X) @ self.M.T) @ self.M
 
-    def hessian(self, x):
-        return self.hessian_many(self._check(x)[None])[0]
-
     def hessian_many(self, X):
         # each row's (M * w[:, None]).T @ M, one gemm per row on the same strides
         W = self.ddell(np.atleast_2d(X) @ self.M.T)

@@ -225,7 +225,6 @@ class Penalty:
     """Base class; vector ops are implemented per family or via scalar pieces."""
 
     family = "abstract"
-    gamma_max = math.inf   # prox-boundedness threshold gamma_g
     separable = False
     convex = False
 
@@ -246,8 +245,6 @@ class Penalty:
     def prox(self, u, gamma) -> ProxResult:
         if gamma <= 0:
             raise PenaltyError("gamma must be positive")
-        if gamma >= self.gamma_max:
-            raise PenaltyError("not prox-bounded at this step size")
         u = np.asarray(u, dtype=float)
         sets = self.prox_coordinate_sets(u, gamma)
         count = 1

@@ -34,7 +34,7 @@ def pg_solve(prob: ProblemSpec, cfg: SolverConfig, x0) -> IterateTrace:
     dist(x^k, Prox(u^k)) and the step that leaves it, and one loss
     evaluation both F(x^k) and the gradient in u^k.
     """
-    cfg.validate(prob)
+    cfg.validate()
     x = np.array(x0, dtype=float)
     if x.shape != (prob.n,):
         raise ConfigError("x0 has wrong dimension")
@@ -126,7 +126,7 @@ def ppa_solve(prob: ProblemSpec, cfg: SolverConfig, x0, oracle_window=None) -> I
     The F-prox is exact for diagonal quadratic f with separable g, and
     computed by the brute-force oracle for n <= 2 otherwise.
     """
-    cfg.validate(prob)
+    cfg.validate()
     x = np.array(x0, dtype=float)
     exact = (prob.loss.family == "quadratic" and prob.penalty.separable
              and np.count_nonzero(prob.loss.Q) == np.count_nonzero(np.diag(prob.loss.Q)))

@@ -6,7 +6,13 @@ range, samples graph points at shrinking radii with its own arithmetic, and
 clusters the difference directions.  Its polar intersects the half-circles
 opposite the directions one by one, a different method from calmkit's, which
 reads the polar off the angular gaps between the directions.  Results are
-plain sorted arc lists compared against ConeUnion2.arcs.
+plain sorted arc lists.
+
+calmkit's cones are atom lists.  The comparator reads each atom as data
+(kind and generators) into closed arcs and merges them with this file's own
+merge, so every equality, containment and membership question about
+calmkit's cones in the tests is decided here: same_cone, cone_within,
+holds_vector and, against the sampled arcs, arcs_match.
 """
 
 import math
@@ -163,14 +169,69 @@ def directional_arcs(G, p, d, scale=1e-5, angle_window=1e-3):
     return _merge_arcs(arcs)
 
 
-def arcs_match(oracle_arcs, cone, tol=1e-6):
-    """Compare an oracle arc list against a ConeUnion2 (canonical arcs)."""
-    ours = _merge_arcs(list(oracle_arcs), tol=tol)
-    theirs = list(cone.arcs)
-    if len(ours) != len(theirs):
-        return False
-    for (s1, e1), (s2, e2) in zip(sorted(ours), sorted(theirs)):
-        ds = min(abs(s1 - s2), TWO_PI - abs(s1 - s2))
-        if ds > tol or abs((e1 - s1) - (e2 - s2)) > tol:
-            return False
-    return True
+def _atom_arcs(atom):
+    """A calmkit Atom, read as data through kind, g1 and g2, as closed arcs
+    (start, end): a ray gives one direction, a line two, and a sector or
+    half-plane the counterclockwise arc g1 -> g2 (a half pi wide even when
+    g1 and g2 coincide)."""
+    if atom.kind == "zero":
+        return []
+    if atom.kind == "full":
+        return [(0.0, TWO_PI)]
+    a1 = _angle_of(atom.g1) % TWO_PI
+    if atom.kind == "ray":
+        return [(a1, a1)]
+    if atom.kind == "line":
+        a2 = (a1 + math.pi) % TWO_PI
+        return [(a1, a1), (a2, a2)]
+    width = (_angle_of(atom.g2) - a1) % TWO_PI
+    if width == 0.0 and atom.kind == "half":
+        width = math.pi
+    return [(a1, a1 + width)]
+
+
+def cone_arcs(atoms, tol=1e-10):
+    """The merged arcs of the union of a list of atoms."""
+    arcs = []
+    for atom in atoms:
+        arcs.extend(_atom_arcs(atom))
+    return _merge_arcs(arcs, tol)
+
+
+def _same_arcs(ours, theirs, tol):
+    """Two merged arc lists agree: as many arcs, and each of ours has one in
+    theirs whose start (around the circle) and length are within tol, so a
+    start that a merge moved across angle 0 still matches."""
+    return len(ours) == len(theirs) and all(
+        any(min(abs(s1 - s2), TWO_PI - abs(s1 - s2)) <= tol
+            and abs((e1 - s1) - (e2 - s2)) <= tol for s2, e2 in theirs)
+        for s1, e1 in ours)
+
+
+def _arcs_within(arcs, others, tol):
+    """arcs lie in others: merging them into others leaves others as it is."""
+    theirs = _merge_arcs(others, tol)
+    return _same_arcs(_merge_arcs(arcs + theirs, tol), theirs, tol)
+
+
+def same_cone(a, b, tol=1e-10):
+    """Two atom lists span the same cone, within tol radians."""
+    return _same_arcs(cone_arcs(a), cone_arcs(b), tol)
+
+
+def cone_within(a, b, tol=1e-9):
+    """The cone of atom list a lies in that of b, within tol radians."""
+    return _arcs_within(cone_arcs(a), cone_arcs(b), tol)
+
+
+def holds_vector(atoms, v, tol=1e-10):
+    """v lies in the cone of the atoms, within tol radians; 0 always does."""
+    if math.hypot(v[0], v[1]) <= 1e-300:
+        return True
+    a = _angle_of(v) % TWO_PI
+    return _arcs_within([(a, a)], cone_arcs(atoms), tol)
+
+
+def arcs_match(oracle_arcs, atoms, tol=1e-6):
+    """Compare an oracle arc list against a calmkit atom list."""
+    return _same_arcs(_merge_arcs(list(oracle_arcs), tol=tol), cone_arcs(atoms), tol)

@@ -6,10 +6,13 @@ import zlib
 import numpy as np
 import pytest
 
+import cone_oracle
 from calmkit.calmness import (CertificateError, check_foscms, check_nnamcq,
                               check_polyhedral, estimate_calmness_modulus,
                               is_proximal_stationary)
 from calmkit.core import ProblemSpec, SolverConfig
+from calmkit.graphs_cones import (directional_limiting_normal_atoms,
+                                  limiting_normal_atoms, tangent_atoms)
 from calmkit.instances import (example_5_1_cases, scad_case_i, scad_case_ii,
                                scad_case_iii)
 from calmkit.losses import LogisticLoss, QuadraticLoss, SigmoidNNLoss
@@ -105,10 +108,9 @@ def test_nnamcq_failure_produces_valid_witness():
     xi, eta = (np.asarray(v) for v in rep.witnesses[0])
     H = prob.loss.hessian(np.zeros(1))
     assert np.linalg.norm(xi - H @ eta) <= 1e-12
-    from calmkit.graphs_cones import limiting_normal_cone
     G = prob.penalty.graph()
-    assert limiting_normal_cone(G, (0.0, 1.0)).contains_vector(
-        (float(xi[0]), float(eta[0])), tol=1e-9)
+    assert cone_oracle.holds_vector(limiting_normal_atoms(G, (0.0, 1.0)),
+                                    (float(xi[0]), float(eta[0])), tol=1e-9)
 
 
 # (verdict, condition, pieces_examined, notes) and witnesses of Example 5.1
@@ -304,11 +306,10 @@ def test_nnamcq_lp_fallback_detects_surviving_multiplier():
     assert rep.verdict == "fails"
     xi, eta = (np.asarray(v) for v in rep.witnesses[0])
     assert np.linalg.norm(xi + eta) <= 1e-9  # xi = H eta = -eta
-    from calmkit.graphs_cones import limiting_normal_cone
     G = prob.penalty.graph()
     for i in range(n):
-        assert limiting_normal_cone(G, (0.0, 1.0)).contains_vector(
-            (float(xi[i]), float(eta[i])), tol=1e-8)
+        assert cone_oracle.holds_vector(limiting_normal_atoms(G, (0.0, 1.0)),
+                                        (float(xi[i]), float(eta[i])), tol=1e-8)
 
 
 def test_nnamcq_lp_fallback_certifies_zero_only():
@@ -613,7 +614,6 @@ def test_extreme_ray_test_on_hand_made_cones():
 @pytest.mark.parametrize("name", ["l1-vertex", "scad-kink"])
 def test_nonzero_in_cone_matches_box_lp_on_every_multiplier_system(name):
     from cone_reference import _coordinate_rows, _reduce
-    from calmkit.graphs_cones import limiting_normal_atoms
     n = 5
     if name == "l1-vertex":
         prob, x_bar = _l1_all_vertex(n, 3), np.zeros(n)
@@ -678,34 +678,32 @@ def _random_stationary_instance(rng, penalty, Q=None):
 
 
 def _sweep_has_nonzero_multiplier(prob, x_bar, sweep=7200):
-    from calmkit.graphs_cones import limiting_normal_cone
     G = prob.penalty.graph()
     H = prob.loss.hessian(x_bar)
     grad = prob.loss.gradient(x_bar)
-    cones = [limiting_normal_cone(G, (float(x_bar[i]), float(-grad[i])))
+    cones = [limiting_normal_atoms(G, (float(x_bar[i]), float(-grad[i])))
              for i in range(2)]
     for k in range(sweep):
         ang = 2 * np.pi * k / sweep
         eta = np.array([np.cos(ang), np.sin(ang)])
         xi = H @ eta
-        if all(cones[i].contains_vector((float(xi[i]), float(eta[i])), tol=1e-12)
+        if all(cone_oracle.holds_vector(cones[i], (float(xi[i]), float(eta[i])), tol=1e-12)
                for i in range(2)):
             return True
     return False
 
 
 def _sweep_has_critical_direction(prob, x_bar, sweep=7200):
-    from calmkit.graphs_cones import tangent_cone
     G = prob.penalty.graph()
     H = prob.loss.hessian(x_bar)
     grad = prob.loss.gradient(x_bar)
-    cones = [tangent_cone(G, (float(x_bar[i]), float(-grad[i])))
+    cones = [tangent_atoms(G, (float(x_bar[i]), float(-grad[i])))
              for i in range(2)]
     for k in range(sweep):
         ang = 2 * np.pi * k / sweep
         w = np.array([np.cos(ang), np.sin(ang)])
         Hw = H @ w
-        if all(cones[i].contains_vector((float(w[i]), float(-Hw[i])), tol=1e-12)
+        if all(cone_oracle.holds_vector(cones[i], (float(w[i]), float(-Hw[i])), tol=1e-12)
                for i in range(2)):
             return True
     return False
@@ -801,8 +799,6 @@ def test_r_map_sends_tangent_directions_into_directional_normal_cones():
     # R(a, b) = (-b, a) maps each tangent direction d of a polyline graph
     # into the directional limiting normal cone along d: the fact that makes
     # eta = w a multiplier along every critical direction w
-    from calmkit.graphs_cones import (directional_limiting_normal_cone,
-                                      tangent_atoms)
     checked = 0
     for penalty in _separable_penalties():
         G = penalty.graph()
@@ -817,8 +813,8 @@ def test_r_map_sends_tangent_directions_into_directional_normal_cones():
             for atom in tangent_atoms(G, p):
                 dirs = [atom.g1] + ([(-atom.g1[0], -atom.g1[1])] if atom.kind == "line" else [])
                 for d in dirs:
-                    cone = directional_limiting_normal_cone(G, p, d)
-                    assert cone.contains_vector((-d[1], d[0])), (penalty.family, p, d)
+                    cone = directional_limiting_normal_atoms(G, p, d)
+                    assert cone_oracle.holds_vector(cone, (-d[1], d[0])), (penalty.family, p, d)
                     checked += 1
     assert checked >= 40
 
@@ -864,7 +860,6 @@ def _certificate_systems(prob, x_bar):
     """The NNAMCQ multiplier atoms with their embedding (H, I), and the
     FOSCMS tangent atoms with theirs (I, -H)."""
     from calmkit.calmness import MAX_FOSCMS_DIM, _certificate_setup
-    from calmkit.graphs_cones import limiting_normal_atoms, tangent_atoms
     x_bar, G, H, points = _certificate_setup(prob, x_bar, 1e-8, MAX_FOSCMS_DIM)
     eye = np.eye(prob.n)
     yield [limiting_normal_atoms(G, p, 1e-8) for p in points], H, eye

@@ -270,6 +270,8 @@ def test_internal_value_error_is_not_a_configuration_error(tmp_path, monkeypatch
     ["solve", "--problem", "{admm_ok}", "--solver", "admm", "--stop-tol", "-1"],
     ["solve", "--problem", "{pdhg}", "--solver", "pdhg", "--max-iter", "0"],
     ["solve", "--problem", "{pdhg}", "--solver", "pdhg", "--stop-tol", "-1"],
+    ["diagnose", "--trace", "{trace3d}", "--problem", "{bad}", "--gamma", "0.5"],
+    ["diagnose", "--trace", "{no_iterate}", "--problem", "{bad}", "--gamma", "0.5"],
 ])
 def test_malformed_user_input_exits_2(tmp_path, capsys, argv):
     files = {"{bad}": write(tmp_path, "p.json", LASSO),
@@ -277,9 +279,12 @@ def test_malformed_user_input_exits_2(tmp_path, capsys, argv):
                                                  if k != "beta"}),
              "{admm_ok}": write(tmp_path, "a_ok.json", ADMM),
              "{pdhg}": write(tmp_path, "d.json", PDHG)}
-    notjson = tmp_path / "n.json"
-    notjson.write_text("{not json")
-    files["{notjson}"] = str(notjson)
+    for key, text in (("{notjson}", "{not json"),
+                      ("{trace3d}", "k,x_0,x_1,x_2,F,pnorm,residual\n0,1,2,3,0,0,0\n"),
+                      ("{no_iterate}", "k,x_0,x_1,F,pnorm,residual\n")):
+        path = tmp_path / (key.strip("{}") + ".txt")
+        path.write_text(text)
+        files[key] = str(path)
     argv = [files.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err

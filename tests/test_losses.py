@@ -185,7 +185,7 @@ def test_margin_losses_share_one_body():
     for cls in (LogisticLoss, ExponentialLoss):
         own = {k for k, v in vars(cls).items() if callable(v)}
         assert own == {"ell", "dell", "ddell", "lipschitz_bound"}
-    for k in ("__init__", "value_many", "gradient_many", "hessian", "to_json"):
+    for k in ("__init__", "value_many", "gradient_many", "hessian_many", "to_json"):
         assert k in vars(MarginLoss)
 
 

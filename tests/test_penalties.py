@@ -412,11 +412,6 @@ def test_prox_matches_dense_grid_oracle(u, gam, idx):
         assert abs(t - o) <= 1e-4
 
 
-def test_prox_bound_thresholds_declared():
-    for g in SEPARABLE + [GroupLasso([[0, 1]], [1.0])]:
-        assert g.gamma_max == math.inf
-
-
 def test_penalty_json_round_trip():
     for g in SEPARABLE + [GroupLasso([[0, 1], [2]], [1.0, 0.5])]:
         g2 = penalty_from_json(g.to_json())
